@@ -42,8 +42,8 @@ use en_wire::faultsim::{
     FaultReport,
 };
 use en_wire::{
-    generate_pairs, BatchOutcome, CacheConfig, FlatScheme, MappedSnapshot, PairWorkload,
-    QueryEngine, SchemeStore,
+    generate_pairs, BatchOutcome, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine,
+    SchemeStore,
 };
 
 /// Folds a batch's observable outcome into one word, so "bit-identical"
@@ -278,40 +278,6 @@ fn main() {
             }
             errors_seen += s.failed;
         }
-        // The same corrupt snapshot behind a hot-route cache: the process
-        // must still survive and the per-shard accounting must reconstruct
-        // the batch exactly; non-panicked shards account one cache lookup
-        // (hit or miss) per query.
-        let cached_engine = QueryEngine::new(*engine.flat(), &g)
-            .expect("same graph")
-            .with_cache(CacheConfig { capacity: 64 });
-        for threads in [2usize, 8] {
-            let batch = cached_engine.route_batch(&pairs, None, threads);
-            let s = &batch.stats;
-            let shard_q: usize = batch.shards.iter().map(|sh| sh.queries).sum();
-            let shard_e: usize = batch.shards.iter().map(|sh| sh.errors).sum();
-            if shard_q != pairs.len() || shard_e != s.failed || s.pairs != pairs.len() {
-                failures.push(format!(
-                    "{}: cached shard accounting off at {threads} threads: \
-                     queries {shard_q}/{} errors {shard_e}/{}",
-                    case.name,
-                    pairs.len(),
-                    s.failed
-                ));
-                ok = false;
-            }
-            for (si, shard) in batch.shards.iter().enumerate() {
-                if !shard.panicked && shard.cache.hits + shard.cache.misses != shard.queries as u64
-                {
-                    failures.push(format!(
-                        "{}: shard {si} cache counters off at {threads} threads: \
-                         {:?} for {} queries",
-                        case.name, shard.cache, shard.queries
-                    ));
-                    ok = false;
-                }
-            }
-        }
         degraded_runs += 1;
         degraded_queries += errors_seen;
         if !ok {
@@ -464,28 +430,7 @@ fn main() {
             failures.push(format!("pristine batch failed queries at {t} threads"));
         }
     }
-    // The cache is observationally invisible on the pristine snapshot too:
-    // same digests at every thread count, and the batch counters account
-    // one lookup per pair.
-    let cached_engine = QueryEngine::new(*engine.flat(), &g)
-        .expect("same graph")
-        .with_cache(CacheConfig { capacity: 64 });
-    for t in [1usize, 2, 8] {
-        let b = cached_engine.route_batch(&pairs, None, t);
-        if digest(&b) != d0 {
-            failures.push(format!("cached pristine outcomes differ at {t} threads"));
-        }
-        if b.stats.cache_hits + b.stats.cache_misses != pairs.len() as u64 {
-            failures.push(format!(
-                "cached pristine batch lookup accounting off at {t} threads: {:?}",
-                b.stats
-            ));
-        }
-    }
-    println!(
-        "  determinism: outcomes bit-identical at 1/2/8 threads \
-         (cached and uncached), fault counters zero"
-    );
+    println!("  determinism: outcomes bit-identical at 1/2/8 threads, fault counters zero");
     if en_obs::active() {
         en_obs::event(
             en_obs::Level::Info,

@@ -41,10 +41,8 @@
 //! same pairs, the in-memory `RoutingScheme` single-threaded throughput,
 //! recording `flat_vs_inmem` (flat single-thread ÷ in-memory routes/sec;
 //! the unified-kernel goal is 1.0). Beside the uniform pairs it records
-//! the Zipf-hotspot workload (exponent 1.2, both endpoints skewed) with
-//! the hot-route cache on — outcomes asserted bit-identical to the
-//! uncached run, `cache_hit_rate` committed — the skewed-traffic shape
-//! the serving layer is optimised for. All of it is written to
+//! the single-thread throughput of the Zipf-hotspot workload (exponent
+//! 1.2, both endpoints skewed). All of it is written to
 //! `BENCH_queries.json` together with the snapshot size and the host's
 //! CPU count (the multi-thread number only shows real scaling on a
 //! multi-core host).
@@ -81,9 +79,10 @@
 //! stay on the uninstrumented path).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
-use en_wire::{generate_pairs, CacheConfig, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine};
+use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine};
 
 use en_bench::warn_if_round_limit_hit;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
@@ -105,12 +104,20 @@ const QUERIES_OUTPUT: &str = "BENCH_queries.json";
 /// only meaningful as a speedup on a host with that many cores).
 const QUERY_THREADS: usize = 8;
 
+/// Best-of-`runs` wall time of `f` in ms, plus the last run's result.
+///
+/// The result passes through [`black_box`] inside the timed region, so the
+/// work that produces it cannot be elided; closures whose input the
+/// compiler could see through (a buffer copy, a header-only parse) also
+/// black-box that input. The previous run's result is dropped before the
+/// next run starts, outside the timed region.
 fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::MAX;
     let mut out = None;
     for _ in 0..runs {
+        drop(out.take());
         let t = Instant::now();
-        let r = f();
+        let r = black_box(f());
         best = best.min(t.elapsed().as_secs_f64());
         out = Some(r);
     }
@@ -280,15 +287,16 @@ fn main() {
             // Open-path costs, kept apart so each optimisation is
             // attributable: `read_us` is the buffer copy alone (what an
             // owned open pays to get the bytes in hand), `shape_open_us`
-            // the header-only `from_bytes_unvalidated` parse,
+            // the header-only `from_bytes_unvalidated` parse (tens of
+            // nanoseconds, hence recorded to the nanosecond),
             // `mmap_open_us` the page-cache open (`MappedSnapshot::open` +
             // the same shape parse — no copy, the bytes stay in the kernel
             // page cache), and `validate_us` the checksum walk alone (full
             // `from_bytes` minus the shape-only open) — the per-publish
             // integrity tax the v3 checksum layer charges.
-            let (read_ms, _) = best_of(kernel_runs, || bytes.clone().len());
+            let (read_ms, _) = best_of(kernel_runs, || black_box(&bytes).clone());
             let (shape_ms, _) = best_of(kernel_runs, || {
-                FlatScheme::from_bytes_unvalidated(&bytes)
+                FlatScheme::from_bytes_unvalidated(black_box(&bytes))
                     .expect("snapshot opens")
                     .n()
             });
@@ -305,7 +313,7 @@ fn main() {
             });
             std::fs::remove_file(&snap_path).ok();
             let (full_ms, _) = best_of(kernel_runs, || {
-                FlatScheme::from_bytes(&bytes)
+                FlatScheme::from_bytes(black_box(&bytes))
                     .expect("snapshot validates")
                     .n()
             });
@@ -402,12 +410,8 @@ fn main() {
                 "active-recorder pass must account every delivered route"
             );
             // The Zipf-hotspot workload (both endpoints skewed, exponent
-            // 1.2) with the hot-route cache in front of the kernel: the
-            // skewed-traffic shape serving is optimised for. Outcomes are
-            // bit-identical to the uncached run by construction — asserted
-            // outcome-by-outcome here before the timed passes.
+            // 1.2), single-threaded like the uniform `single` number.
             let zipf_exponent = 1.2;
-            let cache_capacity = 4096usize;
             let zipf_pairs = generate_pairs(
                 &g,
                 &PairWorkload::ZipfHotspot {
@@ -416,40 +420,14 @@ fn main() {
                 query_pairs,
                 7,
             );
-            let cached_engine = QueryEngine::new(flat, &g)
-                .expect("graph matches snapshot")
-                .with_cache(CacheConfig {
-                    capacity: cache_capacity,
-                });
-            let plain_batch = engine.route_batch(&zipf_pairs, None, 1);
-            let cached_batch = cached_engine.route_batch(&zipf_pairs, None, 1);
-            for (i, (a, b)) in plain_batch
-                .outcomes
-                .iter()
-                .zip(&cached_batch.outcomes)
-                .enumerate()
-            {
-                let (a, b) = (a.as_ref().expect("delivers"), b.as_ref().expect("delivers"));
-                assert!(
-                    a.path == b.path
-                        && a.length == b.length
-                        && a.stretch.to_bits() == b.stretch.to_bits(),
-                    "cached zipf outcome {i} diverged"
-                );
-            }
-            let (zipf_plain_ms, _) = best_of(kernel_runs, || {
+            let (zipf_ms, zipf_delivered) = best_of(kernel_runs, || {
                 engine.route_batch(&zipf_pairs, None, 1).stats.delivered
             });
-            let (zipf_cached_ms, zipf_stats) = best_of(kernel_runs, || {
-                cached_engine.route_batch(&zipf_pairs, None, 1).stats
-            });
-            let cache_hit_rate = zipf_stats.cache_hit_rate();
-            let zipf_plain_rps = zipf_pairs.len() as f64 / (zipf_plain_ms / 1e3);
-            let zipf_cached_rps = zipf_pairs.len() as f64 / (zipf_cached_ms / 1e3);
-            let zipf_vs_uniform = zipf_cached_rps / single_rps;
+            assert_eq!(zipf_delivered, zipf_pairs.len(), "all pairs must deliver");
+            let zipf_rps = zipf_pairs.len() as f64 / (zipf_ms / 1e3);
             println!(
                 "queries n={n} k={k}: snapshot {} bytes ({:.1}/vertex), serialize \
-                 {serialize_ms:.3} ms, read {:.1} us, shape open {:.1} us, \
+                 {serialize_ms:.3} ms, read {:.1} us, shape open {:.3} us, \
                  mmap open {:.1} us (mapped: {mapped}), validate {:.1} us \
                  ({validate_gbps:.2} GB/s, {validate_threads} threads), \
                  {} pairs: single {single_ms:.3} ms \
@@ -465,12 +443,7 @@ fn main() {
                 pairs.len(),
                 multi_rps / single_rps
             );
-            println!(
-                "          zipf s={zipf_exponent} cache cap {cache_capacity}: \
-                 uncached {zipf_plain_ms:.3} ms ({zipf_plain_rps:.0} routes/s), \
-                 cached {zipf_cached_ms:.3} ms ({zipf_cached_rps:.0} routes/s, \
-                 hit rate {cache_hit_rate:.2}), zipf-cached/uniform {zipf_vs_uniform:.2}"
-            );
+            println!("          zipf s={zipf_exponent}: {zipf_ms:.3} ms ({zipf_rps:.0} routes/s)");
             println!(
                 "          obs overhead (single-thread): no-op recorder \
                  {obs_noop_ms:.3} ms ({obs_noop_overhead:.3}x, bar <= 1.02), \
@@ -483,7 +456,7 @@ fn main() {
                 query_entries,
                 "    {{\"n\": {n}, \"k\": {k}, \"snapshot_bytes\": {}, \
                  \"serialize_ms\": {serialize_ms:.3}, \"read_us\": {:.1}, \
-                 \"shape_open_us\": {:.1}, \"mmap_open_us\": {:.1}, \
+                 \"shape_open_us\": {:.3}, \"mmap_open_us\": {:.1}, \
                  \"mmap_mapped\": {mapped}, \
                  \"validate_us\": {:.1}, \"validate_gb_per_s\": {validate_gbps:.2}, \
                  \"validate_threads\": {validate_threads}, \
@@ -497,11 +470,7 @@ fn main() {
                  \"inmem_routes_per_sec\": {inmem_rps:.0}, \
                  \"flat_vs_inmem\": {flat_vs_inmem:.2}, \
                  \"zipf_exponent\": {zipf_exponent}, \
-                 \"cache_capacity\": {cache_capacity}, \
-                 \"zipf_routes_per_sec\": {zipf_plain_rps:.0}, \
-                 \"zipf_cached_routes_per_sec\": {zipf_cached_rps:.0}, \
-                 \"cache_hit_rate\": {cache_hit_rate:.3}, \
-                 \"zipf_cached_vs_uniform\": {zipf_vs_uniform:.2}, \
+                 \"zipf_routes_per_sec\": {zipf_rps:.0}, \
                  \"obs_noop_overhead\": {obs_noop_overhead:.3}, \
                  \"obs_active_overhead\": {obs_active_overhead:.3}}}",
                 bytes.len(),
@@ -609,7 +578,7 @@ fn main() {
         return;
     }
     let queries_json = format!(
-        "{{\n  \"schema\": \"en-bench/queries-v4\",\n  \"workload\": \
+        "{{\n  \"schema\": \"en-bench/queries-v5\",\n  \"workload\": \
          \"uniform + zipf(1.2) pairs over erdos-renyi avg-degree 8, \
          weights 1..=100, seed 42\",\n  \
          \"host_cpus\": {host_cpus},\n  \"multi_threads\": {QUERY_THREADS},\n  \

@@ -28,11 +28,10 @@
 //! batch size.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 
 use en_graph::dijkstra::dijkstra;
 use en_graph::{Dist, NodeId, Path, WeightedGraph};
-use en_routing::access::{self, CacheStats, RouteAccess, RouteCache};
+use en_routing::access::{self, RouteAccess};
 use en_routing::error::RoutingError;
 use en_routing::scheme::RouteOutcome;
 
@@ -184,80 +183,6 @@ impl<'a> RouteAccess for CheckedAccess<'a> {
     }
 }
 
-/// Sizing of the per-shard hot-route caches a [`QueryEngine`] puts in
-/// front of the `Find-tree` kernel (see
-/// [`en_routing::access::RouteCache`]).
-///
-/// `capacity` is rounded up to a power of two; `0` disables caching.
-/// [`QueryEngine::new`] starts from [`CacheConfig::from_env`] so a whole
-/// test or serving process can be flipped cached via `EN_WIRE_CACHE_CAP`;
-/// [`QueryEngine::with_cache`] overrides per engine. Caching never changes
-/// outcomes — the cache memoises decisions and replays them through the
-/// live accessor — only [`BatchStats`]' cache counters and the speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Slots per shard cache (`0` = disabled; rounded up to a power of
-    /// two).
-    pub capacity: usize,
-}
-
-impl CacheConfig {
-    /// Caching off — the default when `EN_WIRE_CACHE_CAP` is unset.
-    pub const DISABLED: CacheConfig = CacheConfig { capacity: 0 };
-
-    /// The process-wide default: `EN_WIRE_CACHE_CAP` parsed as a slot
-    /// count (unset, empty, or unparsable ⇒ disabled). Read once and
-    /// cached for the life of the process.
-    ///
-    /// A malformed value is not swallowed silently: the one-time parse
-    /// bumps the `wire.cache.env_malformed` counter, records a `warn`
-    /// event on the installed [`en_obs::Recorder`], and prints a single
-    /// stderr note before falling back to disabled.
-    pub fn from_env() -> CacheConfig {
-        static CAP: OnceLock<usize> = OnceLock::new();
-        CacheConfig {
-            capacity: *CAP.get_or_init(|| {
-                parse_cache_cap(std::env::var("EN_WIRE_CACHE_CAP").ok().as_deref())
-            }),
-        }
-    }
-}
-
-/// The one-time `EN_WIRE_CACHE_CAP` parse behind [`CacheConfig::from_env`]:
-/// unset and empty mean "disabled" by contract; anything else that fails to
-/// parse is an operator mistake and is surfaced instead of ignored.
-fn parse_cache_cap(value: Option<&str>) -> usize {
-    let Some(raw) = value else { return 0 };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return 0;
-    }
-    match trimmed.parse() {
-        Ok(cap) => cap,
-        Err(_) => {
-            en_obs::counter_add("wire.cache.env_malformed", 1);
-            en_obs::event(
-                en_obs::Level::Warn,
-                "wire.cache.env_malformed",
-                &[
-                    ("var", "EN_WIRE_CACHE_CAP".into()),
-                    ("value", trimmed.into()),
-                ],
-            );
-            eprintln!(
-                "warning: EN_WIRE_CACHE_CAP={trimmed:?} is not a slot count; hot-route caching stays disabled"
-            );
-            0
-        }
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig::DISABLED
-    }
-}
-
 /// A query engine serving one snapshot over one host graph.
 ///
 /// The graph is needed only to weigh traversed paths (and, for
@@ -267,7 +192,6 @@ impl Default for CacheConfig {
 pub struct QueryEngine<'a> {
     flat: FlatScheme<'a>,
     graph: &'a WeightedGraph,
-    cache: CacheConfig,
 }
 
 /// Aggregate statistics of one routed batch.
@@ -299,42 +223,6 @@ pub struct BatchStats {
     /// Queries that still failed after the checked retry and were degraded
     /// into per-query errors instead of killing the batch.
     pub degraded: usize,
-    /// Hot-route cache hits summed over all shard caches (0 with caching
-    /// disabled).
-    pub cache_hits: u64,
-    /// Hot-route cache misses summed over all shard caches (every query is
-    /// counted a miss when caching is disabled).
-    pub cache_misses: u64,
-    /// Hot-route cache evictions summed over all shard caches.
-    pub cache_evictions: u64,
-}
-
-impl BatchStats {
-    /// Cache hits over hits + misses, `0.0` when nothing was counted.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// A copy with the cache counters zeroed.
-    ///
-    /// The routing outcomes and every other statistic are identical for
-    /// every thread count, but the cache counters are *shard-local* by
-    /// design (each worker warms its own cache), so they legitimately vary
-    /// with the sharding. Determinism assertions across thread counts
-    /// compare this normalised form and the outcomes bit-for-bit.
-    pub fn without_cache_counters(&self) -> BatchStats {
-        BatchStats {
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            ..self.clone()
-        }
-    }
 }
 
 /// Per-shard accounting of one routed batch, reported through
@@ -351,9 +239,6 @@ pub struct ShardStats {
     pub retries: usize,
     /// Whether the shard's worker panicked on first pass.
     pub panicked: bool,
-    /// This shard's hot-route cache counters (zeroed when the shard
-    /// panicked — the retry path runs uncached).
-    pub cache: CacheStats,
 }
 
 /// The outcome of routing one batch: per-pair results in input order plus
@@ -384,23 +269,7 @@ impl<'a> QueryEngine<'a> {
                 snapshot_n: flat.n(),
             });
         }
-        Ok(QueryEngine {
-            flat,
-            graph,
-            cache: CacheConfig::from_env(),
-        })
-    }
-
-    /// Replaces the engine's cache sizing (builder style); see
-    /// [`CacheConfig`].
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// The cache sizing this engine shards batches with.
-    pub fn cache_config(&self) -> CacheConfig {
-        self.cache
+        Ok(QueryEngine { flat, graph })
     }
 
     /// The snapshot this engine serves.
@@ -476,23 +345,11 @@ impl<'a> QueryEngine<'a> {
         Ok(self.outcome(root, level, path, exact))
     }
 
-    /// The hardened forwarding path — the *same* kernel, instantiated over
-    /// [`CheckedAccess`]: every untrusted index (CSR offsets, entry fields,
-    /// record bounds, the rank index) is validated before use and every
-    /// next hop is bounded, so corrupt columns surface as errors, not
-    /// panics, while the routing decisions stay bit-identical.
-    fn forward_checked(
-        &self,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<(NodeId, usize, Path), RoutingError> {
-        access::forward_via(&CheckedAccess { flat: self.flat }, from, to)
-    }
-
-    /// Routes one packet through the hardened path: checked accessors,
-    /// per-hop index validation, and a panic guard. Over a fully validated
-    /// snapshot this returns exactly what [`Self::route_with_exact`]
-    /// returns, just slower; over corrupt bytes (a snapshot loaded with
+    /// Routes one packet through the hardened path — the *same* kernel,
+    /// instantiated over `CheckedAccess`: checked accessors, per-hop index
+    /// validation, and a panic guard. Over a fully validated snapshot this
+    /// returns exactly what [`Self::route_with_exact`] returns, just slower;
+    /// over corrupt bytes (a snapshot loaded with
     /// [`FlatScheme::from_bytes_unvalidated`]) it degrades the query into a
     /// structured error instead of panicking the caller.
     ///
@@ -510,57 +367,9 @@ impl<'a> QueryEngine<'a> {
         // The checked accessors make index corruption an error; the unwind
         // guard additionally contains anything they cannot see (e.g. a
         // corrupt record interior tripping a slice bound in a view).
-        match catch_unwind(AssertUnwindSafe(|| self.forward_checked(from, to))) {
-            Ok(forwarded) => {
-                forwarded.map(|(root, level, path)| self.outcome(root, level, path, exact))
-            }
-            Err(_) => Err(RoutingError::TreeRouting(format!(
-                "corrupt snapshot: query {from}->{to} panicked and was degraded"
-            ))),
-        }
-    }
-
-    /// [`Self::route_with_exact`] fronted by a caller-held hot-route cache
-    /// (the fast flat storage under
-    /// [`en_routing::access::forward_via_cached`]). Outcomes are
-    /// bit-identical to the uncached call on any validated snapshot; only
-    /// the cache's counters and the speed differ.
-    ///
-    /// # Errors
-    ///
-    /// Exactly what [`Self::route_with_exact`] reports.
-    pub fn route_with_cache(
-        &self,
-        cache: &mut RouteCache,
-        from: NodeId,
-        to: NodeId,
-        exact: Dist,
-    ) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) =
-            access::forward_via_cached(&FastAccess { flat: self.flat }, cache, from, to)?;
-        Ok(self.outcome(root, level, path, exact))
-    }
-
-    /// [`Self::route_checked`] fronted by a caller-held hot-route cache —
-    /// the hardened accessors under the same cached kernel, so the checked
-    /// storage exercises caching exactly like the fast one (errors are
-    /// never cached; a degraded query stays degraded).
-    ///
-    /// # Errors
-    ///
-    /// Exactly what [`Self::route_checked`] reports.
-    pub fn route_checked_with_cache(
-        &self,
-        cache: &mut RouteCache,
-        from: NodeId,
-        to: NodeId,
-        exact: Dist,
-    ) -> Result<RouteOutcome, RoutingError> {
-        let mut guarded = AssertUnwindSafe((cache, self));
-        match catch_unwind(move || {
-            let (cache, engine) = &mut *guarded;
-            access::forward_via_cached(&CheckedAccess { flat: engine.flat }, cache, from, to)
-        }) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            access::forward_via(&CheckedAccess { flat: self.flat }, from, to)
+        })) {
             Ok(forwarded) => {
                 forwarded.map(|(root, level, path)| self.outcome(root, level, path, exact))
             }
@@ -574,7 +383,6 @@ impl<'a> QueryEngine<'a> {
         &self,
         pairs: &[(NodeId, NodeId)],
         exacts: Option<&[Dist]>,
-        cache: &mut RouteCache,
     ) -> Vec<Result<RouteOutcome, RoutingError>> {
         // Per-worker scratch: one pre-sized output vector, filled in order.
         // The observability gate is hoisted out of the loop: with no
@@ -586,7 +394,7 @@ impl<'a> QueryEngine<'a> {
             let exact = exacts.map_or(0, |e| e[i]);
             if obs {
                 let t0 = std::time::Instant::now();
-                let res = self.route_with_cache(cache, from, to, exact);
+                let res = self.route_with_exact(from, to, exact);
                 let dur_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 en_obs::histogram_record("wire.route_latency_ns", dur_ns);
                 if let Ok(o) = &res {
@@ -594,7 +402,7 @@ impl<'a> QueryEngine<'a> {
                 }
                 out.push(res);
             } else {
-                out.push(self.route_with_cache(cache, from, to, exact));
+                out.push(self.route_with_exact(from, to, exact));
             }
         }
         out
@@ -612,18 +420,9 @@ impl<'a> QueryEngine<'a> {
             queries: pairs.len(),
             ..ShardStats::default()
         };
-        // One cache per shard: workers warm their own memo lock-free, and
-        // outcomes stay deterministic per shard (hence per batch) because a
-        // cache can never change an answer, only skip a scan.
-        let mut cache = RouteCache::new(self.cache.capacity);
-        let fast = catch_unwind(AssertUnwindSafe(|| {
-            self.route_chunk(pairs, exacts, &mut cache)
-        }));
+        let fast = catch_unwind(AssertUnwindSafe(|| self.route_chunk(pairs, exacts)));
         let outcomes = match fast {
-            Ok(outcomes) => {
-                stats.cache = cache.stats();
-                outcomes
-            }
+            Ok(outcomes) => outcomes,
             Err(_) => {
                 // The shard died mid-chunk; re-run it query by query on the
                 // hardened path. Retrying is deterministic — the snapshot
@@ -655,10 +454,7 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Sharding is deterministic and outcomes are reassembled in input
     /// order, so the result — outcomes and aggregate statistics alike — is
-    /// identical for every thread count, with one carve-out: the cache
-    /// counters are per-shard by design (each worker warms its own cache),
-    /// so with caching enabled they vary with the sharding. Compare
-    /// [`BatchStats::without_cache_counters`] across thread counts.
+    /// identical for every thread count.
     ///
     /// A worker panic does not kill the batch: the shard is caught,
     /// retried sequentially through [`Self::route_checked`], and any query
@@ -719,9 +515,6 @@ impl<'a> QueryEngine<'a> {
             if s.panicked {
                 stats.degraded += s.errors;
             }
-            stats.cache_hits += s.cache.hits;
-            stats.cache_misses += s.cache.misses;
-            stats.cache_evictions += s.cache.evictions;
         }
         publish_batch_obs(&stats);
         BatchOutcome {
@@ -747,9 +540,6 @@ fn publish_batch_obs(stats: &BatchStats) {
     en_obs::counter_add("wire.shard.panics", stats.shard_panics as u64);
     en_obs::counter_add("wire.shard.retried", stats.retried as u64);
     en_obs::counter_add("wire.shard.degraded", stats.degraded as u64);
-    en_obs::counter_add("wire.cache.hits", stats.cache_hits);
-    en_obs::counter_add("wire.cache.misses", stats.cache_misses);
-    en_obs::counter_add("wire.cache.evictions", stats.cache_evictions);
 }
 
 /// Folds per-pair outcomes into [`BatchStats`], in input order (so the
@@ -766,9 +556,6 @@ fn batch_stats(outcomes: &[Result<RouteOutcome, RoutingError>]) -> BatchStats {
         shard_panics: 0,
         retried: 0,
         degraded: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
     };
     let mut stretch_sum = 0.0f64;
     for out in outcomes {
@@ -789,37 +576,4 @@ fn batch_stats(outcomes: &[Result<RouteOutcome, RoutingError>]) -> BatchStats {
         stats.mean_stretch = stretch_sum / stats.delivered as f64;
     }
     stats
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cache_cap_parse_contract() {
-        assert_eq!(parse_cache_cap(None), 0, "unset means disabled");
-        assert_eq!(parse_cache_cap(Some("")), 0, "empty means disabled");
-        assert_eq!(parse_cache_cap(Some("  ")), 0);
-        assert_eq!(parse_cache_cap(Some("64")), 64);
-        assert_eq!(parse_cache_cap(Some(" 128\n")), 128);
-    }
-
-    #[test]
-    fn malformed_cache_cap_warns_instead_of_silence() {
-        let reg = std::sync::Arc::new(en_obs::MetricsRegistry::new());
-        {
-            let _guard = en_obs::install(reg.clone());
-            assert_eq!(parse_cache_cap(Some("lots")), 0);
-            assert_eq!(parse_cache_cap(Some("-3")), 0);
-        }
-        assert_eq!(reg.counter_value("wire.cache.env_malformed"), 2);
-        let events = reg.events_snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "wire.cache.env_malformed");
-        assert_eq!(events[0].level, en_obs::Level::Warn);
-        assert!(events[0]
-            .fields
-            .iter()
-            .any(|(k, v)| k == "value" && *v == en_obs::FieldValue::Str("lots".into())));
-    }
 }

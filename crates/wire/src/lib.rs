@@ -32,11 +32,6 @@
 //!   read-into-heap fallback for non-Linux targets and shape-invalid files
 //!   (see that module's SIGBUS-safety argument); [`SnapshotSource`] lets
 //!   [`SchemeStore`] epochs serve owned and mapped buffers alike.
-//! * [`en_routing::access::RouteCache`] (sized per engine via
-//!   [`CacheConfig`]) memoises hot `Find-tree` decisions in front of the
-//!   kernel — the win the Zipf workloads model — with hit/miss/eviction
-//!   counters in [`BatchStats`]; cached outcomes are bit-identical by
-//!   construction because the cache stores decisions, not answers.
 //! * [`workload::generate_pairs`] produces uniform, Zipf-hotspot, and
 //!   near-vs-far query workloads for the benches.
 //!
@@ -100,7 +95,7 @@ pub mod snapshot;
 pub mod store;
 pub mod workload;
 
-pub use engine::{BatchOutcome, BatchStats, CacheConfig, QueryEngine, ShardStats};
+pub use engine::{BatchOutcome, BatchStats, QueryEngine, ShardStats};
 pub use error::WireError;
 pub use flat::{
     FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU64s, SectionSpan,

@@ -91,11 +91,9 @@ fn batch_outcomes_are_identical_across_thread_counts() {
                 "pair {i}, {threads} threads"
             );
         }
-        // Aggregates are computed in input order: bit-identical too.
-        assert_eq!(single.stats.delivered, sharded.stats.delivered);
-        assert_eq!(single.stats.failed, sharded.stats.failed);
-        assert_eq!(single.stats.total_hops, sharded.stats.total_hops);
-        assert_eq!(single.stats.total_length, sharded.stats.total_length);
+        // Aggregates are computed in input order: every stat is identical,
+        // and the floating-point ones bit-identical.
+        assert_eq!(single.stats, sharded.stats, "{threads} threads");
         assert_eq!(
             single.stats.max_stretch.to_bits(),
             sharded.stats.max_stretch.to_bits(),
@@ -114,11 +112,10 @@ fn batch_outcomes_are_identical_across_thread_counts() {
     let tiny = &pairs[..3];
     let a = engine.route_batch(tiny, Some(&exacts[..3]), 16);
     let b = engine.route_batch(tiny, Some(&exacts[..3]), 0);
-    // Cache hit/miss tallies are per-shard (each worker owns its cache), so
-    // they legitimately vary with the sharding; everything else is exact.
+    assert_eq!(a.stats, b.stats);
     assert_eq!(
-        a.stats.without_cache_counters(),
-        b.stats.without_cache_counters()
+        a.stats,
+        engine.route_batch(tiny, Some(&exacts[..3]), 1).stats
     );
     for (len, threads) in [(5usize, 4usize), (7, 5), (9, 7), (11, 8)] {
         let uneven = engine.route_batch(&pairs[..len], Some(&exacts[..len]), threads);
@@ -127,11 +124,11 @@ fn batch_outcomes_are_identical_across_thread_counts() {
             "{len} pairs over {threads} threads"
         );
         assert_eq!(
-            uneven.stats.without_cache_counters(),
+            uneven.stats,
             engine
                 .route_batch(&pairs[..len], Some(&exacts[..len]), 1)
-                .stats
-                .without_cache_counters()
+                .stats,
+            "{len} pairs over {threads} threads"
         );
         // Shard accounting also reconstructs uneven batches exactly.
         assert_eq!(
