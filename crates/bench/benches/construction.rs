@@ -14,7 +14,7 @@
 //!   (1000 vertices, |V'| = 32, B = 16); the batched kernel must stay ≥ 5×
 //!   faster.
 //! * `clusters`: the batched restricted multi-source cluster growing
-//!   (`grow_exact_clusters_batched_with_pivots`) against the retained
+//!   (`grow_exact_clusters_batched`) against the retained
 //!   per-centre restricted Dijkstra oracle, whole exact family at n = 1000,
 //!   k = 2. The recorded bar (BENCH_construction.json): the spanning top
 //!   level must stay ≥ 3× faster batched; whole-family growth is tracked
@@ -30,11 +30,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, CsrGraph};
+use en_graph::{BuildOptions, ClusterForestBuilder, CsrGraph};
 use en_routing::construction::{build_routing_scheme_with, ConstructionConfig};
 use en_routing::exact::{
-    exact_cluster_family, exact_pivots_csr, grow_exact_cluster_csr,
-    grow_exact_clusters_batched_with_pivots, membership_thresholds,
+    exact_cluster_family, exact_pivots_csr, grow_exact_cluster_csr, grow_exact_clusters_batched,
+    membership_thresholds,
 };
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
@@ -83,7 +83,7 @@ fn bench_theorem1_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("theorem1_kernel");
     group.sample_size(20);
     group.bench_function("batched_n1000_s32_b16", |b| {
-        b.iter(|| multi_source_hop_bounded(&g, &sources, 16, 0.25, 10))
+        b.iter(|| multi_source_hop_bounded(&g, &sources, 16, 0.25, 10, &BuildOptions::new(1)).0)
     });
     group.bench_function("naive_reference_n1000_s32_b16", |b| {
         b.iter(|| multi_source_hop_bounded_reference(&g, &sources, 16))
@@ -117,8 +117,17 @@ fn bench_clusters_kernel(c: &mut Criterion) {
             per_level
                 .iter()
                 .map(|(i, centers, threshold)| {
-                    grow_exact_clusters_batched_with_pivots(&csr, centers, *i, threshold, &pivots)
-                        .num_clusters()
+                    let mut builder = ClusterForestBuilder::new(csr.num_nodes());
+                    grow_exact_clusters_batched(
+                        &csr,
+                        centers,
+                        *i,
+                        threshold,
+                        &pivots,
+                        &mut builder,
+                        &BuildOptions::new(1),
+                    );
+                    builder.finish().num_clusters()
                 })
                 .sum::<usize>()
         })
@@ -154,7 +163,7 @@ fn bench_assemble(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("assemble", format!("n{n}_k{k}")),
                 &family,
-                |b, family| b.iter(|| RoutingScheme::assemble(family, 42)),
+                |b, family| b.iter(|| RoutingScheme::assemble(family, 42, &BuildOptions::new(1)).0),
             );
         }
     }

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use en_bench::Workload;
+use en_graph::BuildOptions;
 use en_routing::exact::exact_cluster_family;
 use en_routing::hierarchy::Hierarchy;
 use en_routing::params::SchemeParams;
@@ -19,9 +20,9 @@ fn bench_assembly(c: &mut Criterion) {
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
         group.bench_with_input(BenchmarkId::new("assemble", k), &k, |b, _| {
-            b.iter(|| RoutingScheme::assemble(&family, 7))
+            b.iter(|| RoutingScheme::assemble(&family, 7, &BuildOptions::new(1)).0)
         });
-        let scheme = RoutingScheme::assemble(&family, 7);
+        let scheme = RoutingScheme::assemble(&family, 7, &BuildOptions::new(1)).0;
         group.bench_with_input(BenchmarkId::new("measure_table_words", k), &k, |b, _| {
             b.iter(|| (scheme.max_table_words(), scheme.max_label_words()))
         });

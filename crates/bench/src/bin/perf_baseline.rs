@@ -87,13 +87,13 @@ use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEng
 use en_bench::warn_if_round_limit_hit;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{BuildOptions, CsrGraph, WeightedGraph};
+use en_graph::{BuildOptions, ClusterForestBuilder, CsrGraph, WeightedGraph};
 use en_routing::construction::{
     build_routing_scheme, build_routing_scheme_with, ConstructionConfig,
 };
 use en_routing::exact::{
-    exact_cluster_family, exact_pivots_csr, grow_exact_cluster_csr,
-    grow_exact_clusters_batched_with_pivots, membership_thresholds,
+    exact_cluster_family, exact_pivots_csr, grow_exact_cluster_csr, grow_exact_clusters_batched,
+    membership_thresholds,
 };
 use en_routing::scheme::RoutingScheme;
 use en_routing::{Hierarchy, SchemeParams};
@@ -159,7 +159,7 @@ fn main() {
     let ksources: Vec<usize> = (0..32).map(|i| i * 31 % kn).collect();
     let kernel_runs = if smoke { 3 } else { 9 };
     let (kernel_batched_ms, _) = best_of(kernel_runs, || {
-        multi_source_hop_bounded(&kg, &ksources, 16, 0.25, 10)
+        multi_source_hop_bounded(&kg, &ksources, 16, 0.25, 10, &BuildOptions::new(1)).0
     });
     let (kernel_naive_ms, _) = best_of(kernel_runs, || {
         multi_source_hop_bounded_reference(&kg, &ksources, 16)
@@ -189,13 +189,25 @@ fn main() {
         })
         .collect();
     let num_centers: usize = per_level.iter().map(|(_, c, _)| c.len()).sum();
+    // One level grown single-threaded into its own finished forest.
+    let grow_level = |level: usize, centers: &[usize], threshold: &[u64]| {
+        let mut builder = ClusterForestBuilder::new(kn);
+        let opts = BuildOptions::new(1);
+        grow_exact_clusters_batched(
+            &ccsr,
+            centers,
+            level,
+            threshold,
+            &cpivots,
+            &mut builder,
+            &opts,
+        );
+        builder.finish().num_clusters()
+    };
     let (clusters_batched_ms, _) = best_of(kernel_runs, || {
         per_level
             .iter()
-            .map(|(i, centers, threshold)| {
-                grow_exact_clusters_batched_with_pivots(&ccsr, centers, *i, threshold, &cpivots)
-                    .num_clusters()
-            })
+            .map(|(i, centers, threshold)| grow_level(*i, centers, threshold))
             .sum::<usize>()
     });
     let (clusters_per_centre_ms, _) = best_of(kernel_runs, || {
@@ -212,14 +224,7 @@ fn main() {
     let clusters_speedup = clusters_per_centre_ms / clusters_batched_ms;
     let (top_level, top_centers, top_threshold) = per_level.last().expect("k >= 1");
     let (spanning_batched_ms, _) = best_of(kernel_runs, || {
-        grow_exact_clusters_batched_with_pivots(
-            &ccsr,
-            top_centers,
-            *top_level,
-            top_threshold,
-            &cpivots,
-        )
-        .num_clusters()
+        grow_level(*top_level, top_centers, top_threshold)
     });
     let (spanning_per_centre_ms, _) = best_of(kernel_runs, || {
         top_centers
@@ -251,7 +256,9 @@ fn main() {
             let hierarchy = Hierarchy::sample(&params);
             let family = exact_cluster_family(&g, &hierarchy);
             let family_bytes = family.cluster_bytes();
-            let (assemble_ms, _) = best_of(runs, || RoutingScheme::assemble(&family, 42));
+            let (assemble_ms, _) = best_of(runs, || {
+                RoutingScheme::assemble(&family, 42, &BuildOptions::new(1)).0
+            });
             println!(
                 "assemble n={n} k={k}: {assemble_ms:.3} ms, {} clusters, \
                  total members {}, family footprint {:.2} MB",
@@ -495,7 +502,7 @@ fn main() {
             let (gen_ms, g) = best_of(runs, || workload(n));
             let sources: Vec<usize> = (0..32).map(|i| i * 31 % n).collect();
             let (kernel_ms, _) = best_of(runs, || {
-                multi_source_hop_bounded(&g, &sources, 16, 0.25, 10)
+                multi_source_hop_bounded(&g, &sources, 16, 0.25, 10, &BuildOptions::new(1)).0
             });
             // The construction threads axis: the sequential oracle vs the
             // host's full parallelism. The outputs are bit-identical (the
@@ -506,7 +513,7 @@ fn main() {
                 build_routing_scheme_with(
                     &g,
                     &ConstructionConfig::new(k, 42),
-                    &BuildOptions::sequential(),
+                    &BuildOptions::new(1),
                 )
                 .unwrap()
             });

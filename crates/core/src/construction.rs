@@ -22,8 +22,7 @@ use en_graph::{BuildOptions, BuildStats, WeightedGraph};
 use en_tree_routing::remark3_rounds;
 
 use crate::approx_clusters::{
-    large_scale_clusters_into_opts, middle_level_clusters_into_opts,
-    small_scale_clusters_into_opts, ClusterDiagnostics,
+    large_scale_clusters, middle_level_clusters, small_scale_clusters, ClusterDiagnostics,
 };
 use crate::distance_estimation::DistanceEstimation;
 use crate::error::RoutingError;
@@ -144,7 +143,6 @@ pub fn build_routing_scheme_with(
         .hop_diameter
         .unwrap_or_else(|| hop_diameter_estimate(g));
     let mut ledger = RoundLedger::new();
-    let mut build_stats = BuildStats::default();
     let _build_span = en_obs::span("build");
 
     // 1. Hierarchy (local coin flips: 0 rounds).
@@ -154,14 +152,9 @@ pub fn build_routing_scheme_with(
     };
 
     // 2. Preprocessing for the large scales.
-    let pre = {
+    let (pre, pre_stats) = {
         let _s = en_obs::span("preprocess");
-        Preprocessing::run_with(g, &hierarchy, &params, hop_diameter, opts).map(
-            |(pre, pre_stats)| {
-                build_stats.absorb(&pre_stats);
-                pre
-            },
-        )
+        Preprocessing::run(g, &hierarchy, &params, hop_diameter, opts).unzip()
     };
     let hopset_beta = pre.as_ref().map(|p| p.beta);
     if let Some(pre) = &pre {
@@ -181,23 +174,20 @@ pub fn build_routing_scheme_with(
     let mut diagnostics = ClusterDiagnostics::default();
     diagnostics.round_limit_hits += pivot_table.round_limit_hits;
     let mut builder = en_graph::forest::ClusterForestBuilder::new(g.num_nodes());
-    {
+    let small = {
         let _s = en_obs::span("clusters_small");
-        let (small_ledger, small_diag) = small_scale_clusters_into_opts(
+        small_scale_clusters(
             g,
             &hierarchy,
             &params,
             &pivot_table.pivots,
             &mut builder,
             opts,
-            &mut build_stats,
-        );
-        ledger.absorb(small_ledger);
-        merge_diagnostics(&mut diagnostics, small_diag);
-    }
-    {
+        )
+    };
+    let middle = {
         let _s = en_obs::span("clusters_middle");
-        let (middle_ledger, middle_diag) = middle_level_clusters_into_opts(
+        middle_level_clusters(
             g,
             &hierarchy,
             &params,
@@ -205,14 +195,11 @@ pub fn build_routing_scheme_with(
             hop_diameter,
             &mut builder,
             opts,
-            &mut build_stats,
-        );
-        ledger.absorb(middle_ledger);
-        merge_diagnostics(&mut diagnostics, middle_diag);
-    }
-    if let Some(pre) = &pre {
+        )
+    };
+    let large = pre.as_ref().map(|pre| {
         let _s = en_obs::span("clusters_large");
-        let (large_ledger, large_diag) = large_scale_clusters_into_opts(
+        large_scale_clusters(
             g,
             &hierarchy,
             &params,
@@ -221,10 +208,13 @@ pub fn build_routing_scheme_with(
             hop_diameter,
             &mut builder,
             opts,
-            &mut build_stats,
-        );
-        ledger.absorb(large_ledger);
-        merge_diagnostics(&mut diagnostics, large_diag);
+        )
+    });
+    let mut cluster_stats = Vec::new();
+    for (phase_ledger, phase_diag, phase_stats) in [small, middle].into_iter().chain(large) {
+        ledger.absorb(phase_ledger);
+        merge_diagnostics(&mut diagnostics, phase_diag);
+        cluster_stats.push(phase_stats);
     }
 
     let family = {
@@ -244,9 +234,19 @@ pub fn build_routing_scheme_with(
     );
     let (scheme, assemble_stats) = {
         let _s = en_obs::span("assemble");
-        RoutingScheme::assemble_opts(&family, config.seed ^ 0x7EE5_0FF1CE, opts)
+        RoutingScheme::assemble(&family, config.seed ^ 0x7EE5_0FF1CE, opts)
     };
-    build_stats.absorb(&assemble_stats);
+
+    // Every layer returns its own per-thread work accounting; the build's
+    // total is their slot-wise sum, folded here in pipeline order.
+    let mut build_stats = BuildStats::default();
+    for stats in pre_stats
+        .iter()
+        .chain(&cluster_stats)
+        .chain([&assemble_stats])
+    {
+        build_stats.absorb(stats);
+    }
 
     // 6. Distance-estimation sketches (assembled from information every vertex
     // already holds: 0 extra rounds).

@@ -148,7 +148,8 @@ pub struct RouteOutcome {
 }
 
 impl RoutingScheme {
-    /// Assembles the routing scheme from a cluster family.
+    /// Assembles the routing scheme from a cluster family, also returning
+    /// the per-thread work accounting.
     ///
     /// `tree_seed` seeds the portal sampling of the per-tree schemes.
     ///
@@ -158,21 +159,15 @@ impl RoutingScheme {
     /// labels at level-0 centres — are filled in a single sweep of the
     /// forest's inverted membership CSR instead of one `members()` loop per
     /// cluster.
-    pub fn assemble(family: &ClusterFamily, tree_seed: u64) -> Self {
-        Self::assemble_opts(family, tree_seed, &BuildOptions::sequential()).0
-    }
-
-    /// [`Self::assemble`] with a thread-count knob, also returning the
-    /// per-thread work accounting.
     ///
-    /// Two phases shard over `std::thread::scope` workers: the per-tree
-    /// scheme builds (contiguous cluster-id spans — each tree's portal
-    /// sampling is seeded from its own centre, so the processing order is
-    /// immaterial) and the per-vertex table/label sweep (contiguous vertex
-    /// spans). Per-worker outputs are concatenated in span order, so the
-    /// assembled scheme is bit-identical to the sequential one for every
-    /// thread count.
-    pub fn assemble_opts(
+    /// Two phases shard over up to `opts.threads` `std::thread::scope`
+    /// workers: the per-tree scheme builds (contiguous cluster-id spans —
+    /// each tree's portal sampling is seeded from its own centre, so the
+    /// processing order is immaterial) and the per-vertex table/label sweep
+    /// (contiguous vertex spans). Per-worker outputs are concatenated in span
+    /// order, so the assembled scheme is bit-identical to the sequential one
+    /// for every thread count.
+    pub fn assemble(
         family: &ClusterFamily,
         tree_seed: u64,
         opts: &BuildOptions,
@@ -652,7 +647,7 @@ mod tests {
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, seed);
+        let scheme = RoutingScheme::assemble(&family, seed, &BuildOptions::new(1)).0;
         (g, scheme, params)
     }
 

@@ -125,13 +125,18 @@ mod tests {
     use crate::hierarchy::Hierarchy;
     use crate::params::SchemeParams;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
+    use en_graph::BuildOptions;
 
     fn scheme(n: usize, k: usize, seed: u64) -> (WeightedGraph, RoutingScheme, SchemeParams) {
         let g = erdos_renyi_connected(&GeneratorConfig::new(n, seed).with_weights(1, 30), 0.1);
         let params = SchemeParams::new(k, n, seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        (g, RoutingScheme::assemble(&family, seed), params)
+        (
+            g,
+            RoutingScheme::assemble(&family, seed, &BuildOptions::new(1)).0,
+            params,
+        )
     }
 
     #[test]
@@ -169,7 +174,7 @@ mod tests {
         let params = SchemeParams::new(1, 1, 0);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let s = RoutingScheme::assemble(&family, 0);
+        let s = RoutingScheme::assemble(&family, 0, &BuildOptions::new(1)).0;
         let report = measure_stretch_sampled(&g, &s, 10, 0);
         assert_eq!(report.pairs, 0);
     }

@@ -55,12 +55,6 @@ impl BuildOptions {
             threads: threads.max(1),
         }
     }
-
-    /// The sequential pipeline (`threads = 1`) — the determinism oracle the
-    /// parallel paths are tested against.
-    pub fn sequential() -> Self {
-        BuildOptions { threads: 1 }
-    }
 }
 
 /// Per-thread work accounting of a parallel build, the observable footprint
@@ -243,7 +237,7 @@ mod tests {
 
     #[test]
     fn options_constructors() {
-        assert_eq!(BuildOptions::sequential().threads, 1);
+        assert_eq!(BuildOptions::new(1).threads, 1);
         assert_eq!(BuildOptions::new(0).threads, 1);
         assert_eq!(BuildOptions::new(8).threads, 8);
         assert!(BuildOptions::default().threads >= 1);

@@ -7,7 +7,7 @@
 //! explicitly.
 
 use en_graph::generators::{erdos_renyi_connected, random_geometric_connected, GeneratorConfig};
-use en_graph::{restricted_multi_source_csr_opts, BuildOptions, CsrGraph, NodeId, INFINITY};
+use en_graph::{restricted_multi_source_csr, BuildOptions, CsrGraph, NodeId, INFINITY};
 use en_routing::construction::{
     build_routing_scheme, build_routing_scheme_with, BuiltScheme, ConstructionConfig,
 };
@@ -170,9 +170,9 @@ fn restricted_kernel_is_thread_invariant_on_disconnected_hosts() {
     let sources: Vec<NodeId> = (0..8).collect();
     let threshold = vec![INFINITY; 8];
     let (oracle, seq_stats) =
-        restricted_multi_source_csr_opts(&csr, &sources, &threshold, None, &BuildOptions::new(1));
+        restricted_multi_source_csr(&csr, &sources, &threshold, None, &BuildOptions::new(1));
     for threads in [2usize, 8, 32] {
-        let (sharded, stats) = restricted_multi_source_csr_opts(
+        let (sharded, stats) = restricted_multi_source_csr(
             &csr,
             &sources,
             &threshold,

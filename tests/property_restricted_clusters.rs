@@ -12,10 +12,12 @@ use proptest::prelude::*;
 
 use en_graph::dijkstra::multi_source_dijkstra;
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::{restricted_multi_source_csr, CsrGraph, Dist, NodeId, WeightedGraph, INFINITY};
+use en_graph::{
+    restricted_multi_source_csr, BuildOptions, ClusterForestBuilder, CsrGraph, Dist, NodeId,
+    WeightedGraph, INFINITY,
+};
 use en_routing::exact::{
-    exact_cluster_family, grow_exact_cluster_csr, grow_exact_clusters_batched,
-    membership_thresholds,
+    exact_cluster_family, grow_exact_cluster_csr, membership_thresholds, push_restricted_clusters,
 };
 use en_routing::{Hierarchy, SchemeParams};
 
@@ -82,7 +84,11 @@ proptest! {
         };
         let centers: Vec<NodeId> = (0..n).filter(|v| !level.contains(v)).collect();
         let csr = CsrGraph::from_graph(&g);
-        let forest = grow_exact_clusters_batched(&csr, &centers, 0, &threshold);
+        let opts = BuildOptions::new(1);
+        let res = restricted_multi_source_csr(&csr, &centers, &threshold, None, &opts).0;
+        let mut builder = ClusterForestBuilder::new(n);
+        push_restricted_clusters(&mut builder, &res, 0, &opts);
+        let forest = builder.finish();
         prop_assert_eq!(forest.num_clusters(), centers.len());
         for cluster in forest.clusters() {
             assert_cluster_matches_oracle(&g, &csr, cluster, &threshold);
@@ -111,7 +117,7 @@ proptest! {
             .collect();
         let sources: Vec<NodeId> = (0..n).filter(|v| v % sources_mod == 0).collect();
         let csr = CsrGraph::from_graph(&g);
-        let res = restricted_multi_source_csr(&csr, &sources, &threshold, None);
+        let res = restricted_multi_source_csr(&csr, &sources, &threshold, None, &BuildOptions::new(1)).0;
         for (s, &src) in sources.iter().enumerate() {
             let oracle = grow_exact_cluster_csr(&csr, src, 0, &threshold);
             let members: Vec<NodeId> = res.members_of(s).collect();

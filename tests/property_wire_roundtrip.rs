@@ -26,7 +26,7 @@
 use proptest::prelude::*;
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-use en_graph::WeightedGraph;
+use en_graph::{BuildOptions, WeightedGraph};
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 use en_routing::exact::exact_cluster_family;
 use en_routing::scheme::RoutingScheme;
@@ -102,7 +102,7 @@ proptest! {
         let params = SchemeParams::new(k, g.num_nodes(), seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, seed);
+        let scheme = RoutingScheme::assemble(&family, seed, &BuildOptions::new(1)).0;
         check_engine_matches_scheme(&g, &scheme);
     }
 
@@ -126,7 +126,7 @@ proptest! {
         let params = SchemeParams::new(2, g.num_nodes(), seed);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, seed);
+        let scheme = RoutingScheme::assemble(&family, seed, &BuildOptions::new(1)).0;
         let bytes = serialize(&scheme);
 
         // Truncations at word and sub-word granularity.
@@ -246,7 +246,7 @@ proptest! {
         let params = SchemeParams::new(2, g.num_nodes(), 77);
         let hierarchy = Hierarchy::sample(&params);
         let family = exact_cluster_family(&g, &hierarchy);
-        let scheme = RoutingScheme::assemble(&family, 77);
+        let scheme = RoutingScheme::assemble(&family, 77, &BuildOptions::new(1)).0;
         let bytes = serialize(&scheme);
 
         // Header flip: one bit of the proptest-chosen header field.
@@ -292,7 +292,7 @@ proptest! {
         let scheme = if use_exact {
             let params = SchemeParams::new(k, g.num_nodes(), seed);
             let hierarchy = Hierarchy::sample(&params);
-            RoutingScheme::assemble(&exact_cluster_family(&g, &hierarchy), seed)
+            RoutingScheme::assemble(&exact_cluster_family(&g, &hierarchy), seed, &BuildOptions::new(1)).0
         } else {
             build_routing_scheme(&g, &ConstructionConfig::new(k, seed))
                 .unwrap()
