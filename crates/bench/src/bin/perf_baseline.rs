@@ -29,11 +29,12 @@
 //! The `queries` workload tracks the `en_wire` serving path: per `(n, k)`
 //! at `n ∈ {1000, 10000}` it snapshots the built scheme and times the
 //! open-path costs *separately* — `read_us`, the buffer copy alone (what
-//! an owned open pays to get the bytes in hand), `shape_open_us`, the
-//! header-only `from_bytes_unvalidated` parse, `mmap_open_us`, the
-//! page-cache alternative (`MappedSnapshot::open` plus the same shape
-//! parse, no copy), and `validate_us`, the checksum walk alone (full
-//! `from_bytes` minus the shape-only open; the per-publish integrity tax,
+//! an owned open pays to get the bytes in hand), `shape_open_us`, a
+//! reader's header-only re-open of a published epoch
+//! (`SnapshotEpoch::scheme`), `mmap_open_us`, the page-cache alternative
+//! (`MappedSnapshot::open` alone, no copy), and `validate_us`, the
+//! checksum walk alone (full `from_bytes` minus the header-only re-open;
+//! the per-publish integrity tax,
 //! also reported as GB/s, now sharded over `validate_threads` scoped
 //! workers whose per-thread word accounting must total the serial span) —
 //! then measures batched routing throughput off the flat columns
@@ -82,7 +83,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine};
+use en_wire::{generate_pairs, FlatScheme, MappedSnapshot, PairWorkload, QueryEngine, SchemeStore};
 
 use en_bench::warn_if_round_limit_hit;
 use en_congest_algos::theorem1::{multi_source_hop_bounded, multi_source_hop_bounded_reference};
@@ -294,29 +295,28 @@ fn main() {
             // Open-path costs, kept apart so each optimisation is
             // attributable: `read_us` is the buffer copy alone (what an
             // owned open pays to get the bytes in hand), `shape_open_us`
-            // the header-only `from_bytes_unvalidated` parse (tens of
-            // nanoseconds, hence recorded to the nanosecond),
-            // `mmap_open_us` the page-cache open (`MappedSnapshot::open` +
-            // the same shape parse — no copy, the bytes stay in the kernel
-            // page cache), and `validate_us` the checksum walk alone (full
-            // `from_bytes` minus the shape-only open) — the per-publish
-            // integrity tax the v3 checksum layer charges.
+            // a reader's header-only re-open of a published epoch
+            // (`SnapshotEpoch::scheme`; tens of nanoseconds, hence
+            // recorded to the nanosecond), `mmap_open_us` the page-cache
+            // open alone (`MappedSnapshot::open` — no copy, the bytes stay
+            // in the kernel page cache), and `validate_us` the checksum
+            // walk alone (full `from_bytes` minus the header-only re-open)
+            // — the per-publish integrity tax the v3 checksum layer
+            // charges.
             let (read_ms, _) = best_of(kernel_runs, || black_box(&bytes).clone());
-            let (shape_ms, _) = best_of(kernel_runs, || {
-                FlatScheme::from_bytes_unvalidated(black_box(&bytes))
-                    .expect("snapshot opens")
-                    .n()
-            });
+            let (shape_ms, _) = {
+                let store = SchemeStore::new(bytes.clone()).expect("snapshot validates");
+                let epoch = store.current();
+                best_of(kernel_runs, || black_box(&epoch).scheme().n())
+            };
             let tmp = std::path::Path::new("target/tmp");
             std::fs::create_dir_all(tmp).expect("scratch dir under target/");
             let snap_path = tmp.join(format!("perf_baseline_{n}_{k}.enwire"));
             std::fs::write(&snap_path, &bytes).expect("write snapshot scratch file");
             let (mmap_ms, mapped) = best_of(kernel_runs, || {
-                let snap = MappedSnapshot::open(&snap_path).expect("snapshot opens");
-                FlatScheme::from_bytes_unvalidated(snap.bytes())
+                MappedSnapshot::open(&snap_path)
                     .expect("snapshot opens")
-                    .n();
-                snap.is_mapped()
+                    .is_mapped()
             });
             std::fs::remove_file(&snap_path).ok();
             let (full_ms, _) = best_of(kernel_runs, || {

@@ -10,12 +10,11 @@
 //! [`find_tree_via`] / [`forward_via`] run Algorithm 1 and the forwarding
 //! loop over any implementation.
 //!
-//! Three accessors instantiate the kernel: the in-memory
+//! Two accessors instantiate the kernel: the in-memory
 //! [`RoutingScheme`](crate::scheme::RoutingScheme) (via `&RoutingScheme`),
-//! and — in `en_wire` — the flat snapshot's fast (panics on poisoned bytes)
-//! and checked (returns structured errors) accessor pairs. Because all three
-//! share this single loop, their outcomes are bit-identical by construction,
-//! not by convention.
+//! and — in `en_wire` — the validated flat snapshot. Because both share
+//! this single loop, their outcomes are bit-identical by construction, not
+//! by convention.
 
 use en_graph::{NodeId, Path};
 use en_tree_routing::{next_hop_view, scheme::TreeRoutingError, LabelView, TableView};
@@ -25,10 +24,10 @@ use crate::error::RoutingError;
 /// Storage-generic access to one routing scheme, as consumed by the
 /// forwarding kernel.
 ///
-/// Implementors are cheap `Copy` handles. Every method returns
-/// `Result` so hardened storages (checked snapshot accessors) can surface
-/// corruption as [`RoutingError`]s; infallible storages simply never return
-/// `Err`.
+/// Implementors are cheap `Copy` handles over storage that is consistent by
+/// construction (an in-memory scheme, or a snapshot that passed load-time
+/// validation), so no lookup can fail: every method returns a plain value,
+/// and the kernel's own errors are the only ones a query can report.
 pub trait RouteAccess: Copy {
     /// The packet-header label view forwarding consumes.
     type Label: LabelView;
@@ -42,41 +41,24 @@ pub trait RouteAccess: Copy {
 
     /// The `4k−5` refinement lookup: `member`'s label in `center`'s own
     /// cluster, if `center` is a level-0 centre storing it.
-    fn own_label(
-        &self,
-        center: NodeId,
-        member: NodeId,
-    ) -> Result<Option<Self::Label>, RoutingError>;
+    fn own_label(&self, center: NodeId, member: NodeId) -> Option<Self::Label>;
 
     /// Number of label entries `to` carries (its per-level pivots).
-    fn label_entry_count(&self, to: NodeId) -> Result<usize, RoutingError>;
+    fn label_entry_count(&self, to: NodeId) -> usize;
 
     /// `to`'s `i`-th label entry, in ascending level order: the pivot, and
     /// `to`'s tree label in the pivot's tree when `to` belongs to it.
-    fn label_entry(
-        &self,
-        to: NodeId,
-        i: usize,
-    ) -> Result<(NodeId, Option<Self::Label>), RoutingError>;
+    fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<Self::Label>);
 
     /// Whether `v` belongs to the cluster tree rooted at `root` (answered
     /// from `v`'s own table, as a real node would).
-    fn in_tree(&self, v: NodeId, root: NodeId) -> Result<bool, RoutingError>;
+    fn in_tree(&self, v: NodeId, root: NodeId) -> bool;
 
     /// Resolves the cluster tree rooted at `root`, with its hierarchy level.
-    fn tree(&self, root: NodeId) -> Result<Option<(Self::Tree, usize)>, RoutingError>;
+    fn tree(&self, root: NodeId) -> Option<(Self::Tree, usize)>;
 
     /// The routing table of `v` inside `tree`, if `v` is a member.
-    fn table(&self, tree: &Self::Tree, v: NodeId) -> Result<Option<Self::Table>, RoutingError>;
-
-    /// Validates a next-hop vertex id before the kernel steps to it.
-    ///
-    /// The default accepts everything (a validated storage cannot emit a bad
-    /// hop); checked storages override it to bound `next` by `n`.
-    fn check_hop(&self, next: NodeId) -> Result<(), RoutingError> {
-        let _ = next;
-        Ok(())
-    }
+    fn table(&self, tree: &Self::Tree, v: NodeId) -> Option<Self::Table>;
 }
 
 fn check_node(n: usize, v: NodeId) -> Result<(), RoutingError> {
@@ -93,8 +75,7 @@ fn check_node(n: usize, v: NodeId) -> Result<(), RoutingError> {
 ///
 /// # Errors
 ///
-/// Out-of-range vertices, the (low-probability) no-common-tree case, and
-/// whatever corruption a checked accessor reports.
+/// Out-of-range vertices and the (low-probability) no-common-tree case.
 pub fn find_tree_via<A: RouteAccess>(
     access: &A,
     from: NodeId,
@@ -104,16 +85,16 @@ pub fn find_tree_via<A: RouteAccess>(
     check_node(access.n(), to)?;
     // The 4k−5 refinement: `from` is a level-0 centre storing `to`'s label
     // in its own-cluster table.
-    if let Some(label) = access.own_label(from, to)? {
+    if let Some(label) = access.own_label(from, to) {
         return Ok((from, label));
     }
     // Level scan: entries are stored in ascending level order.
-    for i in 0..access.label_entry_count(to)? {
-        let (pivot, tree_label) = access.label_entry(to, i)?;
+    for i in 0..access.label_entry_count(to) {
+        let (pivot, tree_label) = access.label_entry(to, i);
         let Some(tree_label) = tree_label else {
             continue; // `to` itself is not in this pivot's tree.
         };
-        if access.in_tree(from, pivot)? {
+        if access.in_tree(from, pivot) {
             return Ok((pivot, tree_label));
         }
     }
@@ -127,9 +108,9 @@ pub fn find_tree_via<A: RouteAccess>(
 ///
 /// # Errors
 ///
-/// Everything [`find_tree_via`] reports, a vertex falling out of the tree
-/// mid-route, a hop budget overrun (both impossible on a consistent
-/// scheme), and whatever corruption a checked accessor reports.
+/// Everything [`find_tree_via`] reports, plus a vertex falling out of the
+/// tree mid-route and a hop budget overrun (both impossible on a consistent
+/// scheme).
 pub fn forward_via<A: RouteAccess>(
     access: &A,
     from: NodeId,
@@ -137,7 +118,7 @@ pub fn forward_via<A: RouteAccess>(
 ) -> Result<(NodeId, usize, Path), RoutingError> {
     let (root, header_label) = find_tree_via(access, from, to)?;
     let (tree, level) = access
-        .tree(root)?
+        .tree(root)
         .ok_or_else(|| RoutingError::TreeRouting(format!("no cluster for centre {root}")))?;
     // Tree routes are short (≤ 2·depth of a cluster tree); reserve enough
     // that typical routes never reallocate mid-loop.
@@ -145,12 +126,11 @@ pub fn forward_via<A: RouteAccess>(
     let mut current = from;
     for _ in 0..=access.n() {
         let table = access
-            .table(&tree, current)?
+            .table(&tree, current)
             .ok_or(TreeRoutingError::NotInTree { vertex: current })?;
         match next_hop_view(table, header_label)? {
             None => return Ok((root, level, path)),
             Some(next) => {
-                access.check_hop(next)?;
                 path.push(next);
                 current = next;
             }

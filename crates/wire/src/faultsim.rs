@@ -1,21 +1,16 @@
 //! Deterministic fault injection against snapshot bytes.
 //!
 //! The serving stack claims *error-not-crash* for arbitrary snapshot
-//! corruption. This module makes that claim drillable: seeded, fully
-//! deterministic fault **plans** (truncations at every section boundary,
-//! single-bit flips over the header and each section, scrambled offset
-//! columns) plus runners that apply each fault to a pristine buffer and
-//! classify what the stack did about it:
+//! corruption, by rejecting it at load: a scheme is only ever served after
+//! [`FlatScheme::from_bytes`] validated it in full. This module makes that
+//! claim drillable: seeded, fully deterministic fault **plans**
+//! (truncations at every section boundary, single-bit flips over the header
+//! and each section, scrambled offset columns) plus a runner that applies
+//! each fault to a pristine buffer and classifies what the loader did:
 //!
 //! * **detected** — [`FlatScheme::from_bytes`] rejected the bytes with a
-//!   structured [`WireError`]; nothing corrupt was ever served.
-//! * **degraded** — the bytes were forced in past validation (via
-//!   [`FlatScheme::from_bytes_unvalidated`], simulating corruption that
-//!   strikes *after* load) and the engine turned the damage into per-query
-//!   errors while the batch and process survived.
-//! * **survived** — the fault turned out not to affect any observable
-//!   outcome (possible only for post-load corruption of bytes no query
-//!   touches).
+//!   structured [`WireError`](crate::WireError); nothing corrupt was ever
+//!   served.
 //! * **undetected** — the failure mode: a corrupt buffer validated clean.
 //!   The drills assert this count is zero.
 //!
@@ -26,7 +21,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::WireError;
 use crate::flat::{FlatScheme, SnapshotManifest};
 use crate::format::{Section, HEADER_WORDS};
 
@@ -200,23 +194,6 @@ pub fn offset_scramble_plan(
     plan
 }
 
-/// How the stack handled one injected fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// `from_bytes` rejected the corrupt buffer.
-    Detected(WireError),
-    /// Post-load corruption was served degraded: this many queries errored,
-    /// the batch and process survived.
-    Degraded {
-        /// Queries that returned structured errors.
-        errors: usize,
-    },
-    /// The fault changed no observable outcome.
-    Survived,
-    /// A corrupt buffer validated clean — the failure mode drills hunt.
-    Undetected,
-}
-
 /// Aggregated drill results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {
@@ -224,37 +201,29 @@ pub struct FaultReport {
     pub injected: usize,
     /// Faults rejected at load time.
     pub detected: usize,
-    /// Faults served degraded (post-load corruption, per-query errors).
-    pub degraded: usize,
-    /// Faults with no observable effect.
-    pub survived: usize,
     /// Labels of faults that validated clean — must stay empty.
     pub undetected: Vec<String>,
 }
 
 impl FaultReport {
-    /// Whether every injected fault was detected, degraded, or survived.
+    /// Whether every injected fault was detected at load.
     pub fn all_handled(&self) -> bool {
-        self.undetected.is_empty() && self.detected + self.degraded + self.survived == self.injected
+        self.undetected.is_empty() && self.detected == self.injected
     }
 
     /// Folds another report into this one.
     pub fn merge(&mut self, other: FaultReport) {
         self.injected += other.injected;
         self.detected += other.detected;
-        self.degraded += other.degraded;
-        self.survived += other.survived;
         self.undetected.extend(other.undetected);
     }
 
     /// One-line summary for harness stdout.
     pub fn summary(&self) -> String {
         format!(
-            "injected={} detected={} degraded={} survived={} undetected={}",
+            "injected={} detected={} undetected={}",
             self.injected,
             self.detected,
-            self.degraded,
-            self.survived,
             self.undetected.len()
         )
     }

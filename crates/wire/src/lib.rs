@@ -21,11 +21,11 @@
 //!   binary search over the member column.
 //! * [`QueryEngine`] answers `find_tree` / `route` batches directly off the
 //!   flat columns, sharding batches over `std::thread::scope` workers.
-//!   There is no forwarding loop in this crate: the fast and the checked
-//!   paths both instantiate the storage-generic kernel in
-//!   [`en_routing::access`] — the same `Find-tree` + hop loop the in-memory
-//!   scheme runs — so outcomes are bit-identical by construction (and
-//!   property-proven in `tests/property_wire_roundtrip.rs`).
+//!   There is no forwarding loop in this crate: the engine instantiates the
+//!   storage-generic kernel in [`en_routing::access`] — the same
+//!   `Find-tree` + hop loop the in-memory scheme runs — so outcomes are
+//!   bit-identical by construction (and property-proven in
+//!   `tests/property_wire_roundtrip.rs`).
 //! * [`mmap::MappedSnapshot`] opens a committed snapshot file straight out
 //!   of the kernel page cache — an O(header) length check, then `mmap` —
 //!   instead of copying hundreds of megabytes per open, with a
@@ -49,14 +49,15 @@
 //!   *before* atomically swapping them in; a failed publish leaves the
 //!   current epoch serving (rollback by default) and readers pin whole
 //!   epochs, so a swap never tears a batch.
-//! * **Panic-isolated shards** — [`QueryEngine::route_batch`] runs each
-//!   shard under `catch_unwind`; a panicking shard is retried one query at a
-//!   time through the checked accessors ([`QueryEngine::route_checked`]), so
-//!   one corrupt record degrades one query, and [`BatchStats`] /
-//!   [`ShardStats`] report exactly what happened.
+//! * **Validate once** — every [`FlatScheme`] a caller can hold passed the
+//!   full load-time pass (checksums, cluster/CSR/record structure, the
+//!   rank-index bijection), so the serving accessors and the query engine
+//!   never re-check per query and cannot meet corrupt bytes; untrusted
+//!   bytes never panic because they are rejected before they are served.
 //! * **Deterministic fault injection** — [`faultsim`] builds seeded fault
 //!   plans (boundary truncations, bit flips, offset scrambles) and drills
-//!   the whole stack, asserting error-not-crash everywhere.
+//!   the load path, asserting every fault is rejected with a structured
+//!   error.
 //!
 //! # Example
 //!
@@ -95,7 +96,7 @@ pub mod snapshot;
 pub mod store;
 pub mod workload;
 
-pub use engine::{BatchOutcome, BatchStats, QueryEngine, ShardStats};
+pub use engine::{BatchOutcome, BatchStats, QueryEngine};
 pub use error::WireError;
 pub use flat::{
     FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU64s, SectionSpan,

@@ -114,7 +114,7 @@ impl SnapshotEpoch {
 
     /// Borrows the epoch's scheme for zero-copy serving.
     pub fn scheme(&self) -> FlatScheme<'_> {
-        FlatScheme::from_bytes_unvalidated(self.bytes())
+        FlatScheme::reopen_validated(self.bytes())
             .expect("epoch bytes were validated at publish time")
     }
 }

@@ -141,9 +141,6 @@ fn batch_counters_reconcile_and_outcomes_stay_bit_identical() {
             ("wire.batch.failed", s.failed as u64),
             ("wire.batch.hops_total", s.total_hops),
             ("wire.batch.length_total", s.total_length),
-            ("wire.shard.panics", s.shard_panics as u64),
-            ("wire.shard.retried", s.retried as u64),
-            ("wire.shard.degraded", s.degraded as u64),
         ] {
             assert_eq!(
                 registry.counter_value(name),

@@ -42,37 +42,14 @@ fn batch_outcomes_are_identical_across_thread_counts() {
             .collect()
     };
 
-    // Per-shard accounting: at every thread count the shard totals must
-    // reconstruct the batch exactly, and the fault counters stay zero on a
-    // healthy snapshot.
-    let check_shards = |batch: &en_wire::BatchOutcome, threads: usize| {
-        let queries: usize = batch.shards.iter().map(|s| s.queries).sum();
-        let errors: usize = batch.shards.iter().map(|s| s.errors).sum();
-        let retries: usize = batch.shards.iter().map(|s| s.retries).sum();
-        assert_eq!(queries, batch.stats.pairs, "{threads} threads");
-        assert_eq!(errors, batch.stats.failed, "{threads} threads");
-        assert_eq!(retries, batch.stats.retried, "{threads} threads");
-        assert!(
-            batch.shards.iter().all(|s| !s.panicked),
-            "healthy snapshot panicked a shard at {threads} threads"
-        );
-        assert_eq!(batch.stats.shard_panics, 0, "{threads} threads");
-        assert_eq!(batch.stats.retried, 0, "{threads} threads");
-        assert_eq!(batch.stats.degraded, 0, "{threads} threads");
-    };
-
     let single = engine.route_batch(&pairs, Some(&exacts), 1);
     assert_eq!(single.stats.pairs, pairs.len());
     assert_eq!(single.stats.failed, 0, "all pairs must deliver");
     assert!(single.stats.max_stretch >= 1.0);
     assert!(single.stats.total_hops > 0);
-    assert_eq!(single.shards.len(), 1, "one shard on one thread");
-    check_shards(&single, 1);
 
     for threads in [2usize, 8] {
         let sharded = engine.route_batch(&pairs, Some(&exacts), threads);
-        assert_eq!(sharded.shards.len(), threads, "{threads} threads");
-        check_shards(&sharded, threads);
         assert_eq!(
             sharded.outcomes.len(),
             single.outcomes.len(),
@@ -130,17 +107,10 @@ fn batch_outcomes_are_identical_across_thread_counts() {
                 .stats,
             "{len} pairs over {threads} threads"
         );
-        // Shard accounting also reconstructs uneven batches exactly.
-        assert_eq!(
-            uneven.shards.iter().map(|s| s.queries).sum::<usize>(),
-            len,
-            "{len} pairs over {threads} threads"
-        );
     }
     let empty = engine.route_batch(&[], None, 4);
     assert_eq!(empty.stats.pairs, 0);
     assert_eq!(empty.stats.delivered, 0);
-    assert_eq!(empty.shards.iter().map(|s| s.queries).sum::<usize>(), 0);
 
     // Out-of-range vertex ids on the flat read surface degrade gracefully
     // (the engine's own route path reports NodeOutOfRange for them).

@@ -197,16 +197,11 @@ proptest! {
         // Version negotiation: a buffer declaring the retired v2 format is
         // refused with the structured version error — the version word is
         // examined before any checksum, so the caller learns "old format",
-        // never a misleading checksum mismatch. Both the validating and the
-        // shape-only open refuse it.
+        // never a misleading checksum mismatch.
         let mut v2_bytes = bytes.clone();
         v2_bytes[8] = 2;
         prop_assert!(matches!(
             FlatScheme::from_bytes(&v2_bytes),
-            Err(WireError::UnsupportedVersion { found: 2 })
-        ));
-        prop_assert!(matches!(
-            FlatScheme::from_bytes_unvalidated(&v2_bytes),
             Err(WireError::UnsupportedVersion { found: 2 })
         ));
 
