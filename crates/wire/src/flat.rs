@@ -1186,7 +1186,9 @@ mod tests {
     //! the header's shape checks cannot see, re-seals the section and header
     //! checksums so the buffer gets past the integrity layer, and asserts
     //! that the structural pass of [`FlatScheme::from_bytes`] rejects it
-    //! with the expected [`WireError::Corrupt`] branch.
+    //! with the expected [`WireError::Corrupt`] branch. The `try_*` drill
+    //! names are those of the per-query checked accessors these pokes were
+    //! first aimed at; that checking now happens once, at load.
 
     use super::*;
     use crate::serialize;
@@ -1229,8 +1231,29 @@ mod tests {
         m.sections[s as usize].start_word
     }
 
-    #[test]
-    fn sealed_corruption_is_rejected_by_the_structural_checks() {
+    /// Word positions of one snapshot that the corruption drills poke.
+    struct Targets {
+        bytes: Vec<u8>,
+        n: usize,
+        k: usize,
+        num_clusters: usize,
+        m: SnapshotManifest,
+        /// A vertex whose centre-index slot names a cluster.
+        center: usize,
+        /// Cluster 0's first two member words and their values.
+        members_start: usize,
+        mi: usize,
+        ab: (u64, u64),
+        /// First own-label entry of a centre that stores one.
+        own_entry: usize,
+        /// First label entry of a vertex that has one.
+        label_entry: usize,
+        /// A member-slot word whose cluster has another member to name.
+        slot_word: usize,
+        other_slot: u64,
+    }
+
+    fn targets() -> Targets {
         let bytes = snapshot();
         let flat = FlatScheme::from_bytes(&bytes).unwrap();
         let m = flat.manifest();
@@ -1245,7 +1268,7 @@ mod tests {
         let members_start = word_at(&bytes, cl + 2) as usize;
         assert!(word_at(&bytes, cl + 3) >= 2, "cluster 0 needs two members");
         let mi = start(&m, Section::MemberIds) + members_start;
-        let (a, b) = (word_at(&bytes, mi), word_at(&bytes, mi + 1));
+        let ab = (word_at(&bytes, mi), word_at(&bytes, mi + 1));
         let oo = start(&m, Section::OwnOff);
         let own_v = (0..flat.n())
             .find(|&v| word_at(&bytes, oo + v + 1) > word_at(&bytes, oo + v))
@@ -1270,89 +1293,163 @@ mod tests {
             + (flat.trees_of(v).start - start(&m, Section::VtreesVals))
             + i;
         let cluster_len = flat.cluster_of_center(c).unwrap().len();
-        let other_slot = (word_at(&bytes, slot_word) as usize + 1) % cluster_len;
+        let other_slot = ((word_at(&bytes, slot_word) as usize + 1) % cluster_len) as u64;
+        Targets {
+            n: flat.n(),
+            k: flat.k(),
+            num_clusters: flat.num_clusters(),
+            bytes,
+            m,
+            center,
+            members_start,
+            mi,
+            ab,
+            own_entry,
+            label_entry,
+            slot_word,
+            other_slot,
+        }
+    }
 
+    /// Asserts that `writes` alone fail the section checksum, and that once
+    /// re-sealed they are rejected by the structural pass with `what`.
+    fn assert_rejected_at_load(
+        bytes: &[u8],
+        name: &str,
+        writes: &[(usize, u64)],
+        what: &'static str,
+    ) {
+        let mut raw = bytes.to_vec();
+        for &(w, value) in writes {
+            set_word(&mut raw, w, value);
+        }
+        assert!(
+            matches!(
+                FlatScheme::from_bytes(&raw),
+                Err(WireError::ChecksumMismatch { .. })
+            ),
+            "{name}: the unsealed poke must fail its checksum"
+        );
+        assert_eq!(
+            FlatScheme::from_bytes(&poke_sealed(bytes, writes)).unwrap_err(),
+            WireError::Corrupt { what },
+            "{name}"
+        );
+    }
+
+    #[test]
+    fn try_cluster_of_center_reports_poisoned_centre_index() {
+        let t = targets();
+        let ci = start(&t.m, Section::CenterIndex);
+        assert_rejected_at_load(
+            &t.bytes,
+            "centre index past the table",
+            &[(ci + t.center, t.num_clusters as u64 + 7)],
+            "centre index points past the cluster table",
+        );
+    }
+
+    #[test]
+    fn try_members_reports_member_span_overrun() {
+        let t = targets();
+        let cl = start(&t.m, Section::Clusters);
+        assert_rejected_at_load(
+            &t.bytes,
+            "member span overrun",
+            &[(cl + 3, 1 << 40)],
+            "cluster members overrun the member column",
+        );
+    }
+
+    #[test]
+    fn try_table_of_reports_poisoned_table_offset() {
+        let t = targets();
+        let offs = start(&t.m, Section::MemberTableOffs) + t.members_start;
+        assert_rejected_at_load(
+            &t.bytes,
+            "table offset",
+            &[(offs, u64::MAX)],
+            "table record overruns the table pool",
+        );
+    }
+
+    #[test]
+    fn try_trees_of_reports_corrupt_csr_offsets() {
+        let t = targets();
+        // Breaks vertex 0 (end past the column) and vertex 1 (start > end)
+        // at once.
+        assert_rejected_at_load(
+            &t.bytes,
+            "CSR offsets",
+            &[(start(&t.m, Section::VtreesOff) + 1, u64::MAX)],
+            "CSR offsets not monotone within bounds",
+        );
+    }
+
+    #[test]
+    fn try_own_label_reports_poisoned_label_offset() {
+        let t = targets();
+        assert_rejected_at_load(
+            &t.bytes,
+            "own-label offset",
+            &[(t.own_entry + 1, u64::MAX)],
+            "label record overruns the label pool",
+        );
+    }
+
+    #[test]
+    fn try_label_entries_of_reports_out_of_range_fields() {
+        let t = targets();
         let cases = [
             (
-                "centre index past the table",
-                vec![(ci + center, flat.num_clusters() as u64 + 7)],
-                "centre index points past the cluster table",
-            ),
-            (
-                "member span overrun",
-                vec![(cl + 3, 1 << 40)],
-                "cluster members overrun the member column",
-            ),
-            (
-                "table offset",
-                vec![(
-                    start(&m, Section::MemberTableOffs) + members_start,
-                    u64::MAX,
-                )],
-                "table record overruns the table pool",
-            ),
-            (
-                // Breaks vertex 0 (end past the column) and vertex 1
-                // (start > end) at once.
-                "CSR offsets",
-                vec![(start(&m, Section::VtreesOff) + 1, u64::MAX)],
-                "CSR offsets not monotone within bounds",
-            ),
-            (
-                "own-label offset",
-                vec![(own_entry + 1, u64::MAX)],
-                "label record overruns the label pool",
-            ),
-            (
                 "label-entry level",
-                vec![(label_entry, flat.k() as u64 + 100)],
+                (t.label_entry, t.k as u64 + 100),
                 "label entry level or pivot out of range",
             ),
             (
                 "label-entry pivot",
-                vec![(label_entry + 1, flat.n() as u64 + 100)],
+                (t.label_entry + 1, t.n as u64 + 100),
                 "label entry level or pivot out of range",
             ),
             (
                 "label-entry pool offset",
-                vec![(label_entry + 3, u64::MAX - 1)],
+                (t.label_entry + 3, u64::MAX - 1),
                 "label record overruns the label pool",
             ),
-            (
-                // In range, so only the member-column agreement catches it.
-                "rank index names another member",
-                vec![(slot_word, other_slot as u64)],
-                "member-slot index disagrees with the member column",
-            ),
-            (
-                "rank index past the cluster",
-                vec![(slot_word, u64::MAX)],
-                "member-slot index disagrees with the member column",
-            ),
-            (
-                "scrambled member column",
-                vec![(mi, b), (mi + 1, a)],
-                "cluster members not ascending vertex ids",
-            ),
         ];
-        for (name, writes, what) in cases {
-            let mut raw = bytes.clone();
-            for &(w, value) in &writes {
-                set_word(&mut raw, w, value);
-            }
-            assert!(
-                matches!(
-                    FlatScheme::from_bytes(&raw),
-                    Err(WireError::ChecksumMismatch { .. })
-                ),
-                "{name}: the unsealed poke must fail its checksum"
-            );
-            assert_eq!(
-                FlatScheme::from_bytes(&poke_sealed(&bytes, &writes)).unwrap_err(),
-                WireError::Corrupt { what },
-                "{name}"
-            );
+        for (name, write, what) in cases {
+            assert_rejected_at_load(&t.bytes, name, &[write], what);
         }
+    }
+
+    #[test]
+    fn try_table_of_reports_poisoned_rank_index() {
+        let t = targets();
+        // In range, so only the member-column agreement catches it.
+        assert_rejected_at_load(
+            &t.bytes,
+            "rank index names another member",
+            &[(t.slot_word, t.other_slot)],
+            "member-slot index disagrees with the member column",
+        );
+        assert_rejected_at_load(
+            &t.bytes,
+            "rank index past the cluster",
+            &[(t.slot_word, u64::MAX)],
+            "member-slot index disagrees with the member column",
+        );
+    }
+
+    #[test]
+    fn scrambled_member_column_never_panics_the_checked_paths() {
+        let t = targets();
+        let (a, b) = t.ab;
+        assert_rejected_at_load(
+            &t.bytes,
+            "scrambled member column",
+            &[(t.mi, b), (t.mi + 1, a)],
+            "cluster members not ascending vertex ids",
+        );
     }
 
     #[test]
