@@ -47,10 +47,10 @@
 
 use std::collections::HashMap;
 
-use en_graph::cell::{fits_i32, DistCell};
+use en_graph::cell::{fits_i32, DistCell, PackedAdjacency};
 use en_graph::{
-    dist_add, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId, WeightedGraph,
-    INFINITY,
+    dist_add, run_parts, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId,
+    WeightedGraph, INFINITY,
 };
 
 use en_congest::RoundLedger;
@@ -127,12 +127,11 @@ impl MultiSourceHopBounded {
 /// approximation parameter `eps`, on a graph of hop-diameter `hop_diameter`
 /// (used only for the round charge).
 ///
-/// The source sequence is sharded into 64-aligned contiguous spans on up to
-/// `opts.threads` workers, each sweeping its own disjoint slice of the flat
+/// The source sequence is sharded into up to `opts.threads` 64-aligned
+/// contiguous spans, each sweeping its own disjoint slice of the flat
 /// source-major output — same chunk composition, same writes, so the result
-/// is bit-identical to the sequential run for every thread count. Also
-/// returns per-thread work accounting (sources swept; finite distance cells
-/// produced).
+/// is bit-identical for every thread count. Also returns per-thread work
+/// accounting (sources swept; finite distance cells produced).
 ///
 /// # Panics
 ///
@@ -215,10 +214,10 @@ pub fn multi_source_hop_bounded(
 
 /// Shards `sources` into 64-aligned spans, splits the flat source-major
 /// output arrays into the matching disjoint slices, and runs
-/// [`batched_chunks`] for each span on its own scoped worker (in place on
-/// the calling thread for a single span). Row indices inside
-/// [`batched_chunks`] are relative to the slice it is handed, so each worker
-/// writes exactly the rows the sequential sweep would — bit-identically.
+/// [`batched_chunks`] for each span as one part of [`run_parts`] over one
+/// shared packed adjacency. Row indices inside [`batched_chunks`] are
+/// relative to the slice it is handed, so each part writes exactly the rows
+/// the single-span sweep would — bit-identically.
 fn sharded_chunks<T: DistCell>(
     csr: &CsrGraph,
     sources: &[NodeId],
@@ -228,44 +227,26 @@ fn sharded_chunks<T: DistCell>(
     parent: &mut [Option<NodeId>],
 ) -> BuildStats {
     let n = csr.num_nodes();
+    let adjacency = PackedAdjacency::<T>::new(csr);
     let spans = shard_spans(sources.len(), threads, 64);
-    if spans.len() <= 1 {
-        batched_chunks::<T>(csr, sources, hop_bound, dist, parent);
-        let finite = dist.iter().filter(|&&d| d < INFINITY).count();
-        return BuildStats::single(sources.len(), finite);
-    }
-    let mut dist_parts: Vec<&mut [Dist]> = Vec::with_capacity(spans.len());
-    let mut parent_parts: Vec<&mut [Option<NodeId>]> = Vec::with_capacity(spans.len());
+    let mut parts = Vec::with_capacity(spans.len());
     let mut dist_rest = dist;
     let mut parent_rest = parent;
-    for span in &spans {
+    for span in spans {
         let (d, dr) = dist_rest.split_at_mut(span.len() * n);
         let (p, pr) = parent_rest.split_at_mut(span.len() * n);
-        dist_parts.push(d);
-        parent_parts.push(p);
+        parts.push((span, d, p));
         dist_rest = dr;
         parent_rest = pr;
     }
-    let finite_counts: Vec<usize> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .zip(dist_parts.into_iter().zip(parent_parts))
-            .map(|(span, (d, p))| {
-                let span = span.clone();
-                scope.spawn(move || {
-                    batched_chunks::<T>(csr, &sources[span], hop_bound, d, p);
-                    d.iter().filter(|&&x| x < INFINITY).count()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("theorem-1 kernel worker panicked"))
-            .collect()
+    let counts = run_parts(parts, |(span, d, p)| {
+        let swept = span.len();
+        batched_chunks(&adjacency, &sources[span], hop_bound, d, p);
+        (swept, d.iter().filter(|&&x| x < INFINITY).count())
     });
     let mut stats = BuildStats::default();
-    for (span, finite) in spans.iter().zip(finite_counts) {
-        stats.record(span.len(), finite);
+    for (swept, finite) in counts {
+        stats.record(swept, finite);
     }
     stats
 }
@@ -274,25 +255,13 @@ fn sharded_chunks<T: DistCell>(
 /// 64, writing levelled `B`-hop distances and Remark-1 parents into the flat
 /// source-major `dist` / `parent` output arrays.
 fn batched_chunks<T: DistCell>(
-    csr: &CsrGraph,
+    adjacency: &PackedAdjacency<T>,
     sources: &[NodeId],
     hop_bound: usize,
     dist: &mut [Dist],
     parent: &mut [Option<NodeId>],
 ) {
-    let n = csr.num_nodes();
-    // Local packed adjacency: u32 targets and cell-width weights halve the
-    // per-sweep memory traffic relative to the usize/u64 CSR arrays.
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets: Vec<u32> = Vec::with_capacity(2 * csr.num_edges());
-    let mut weights: Vec<T> = Vec::with_capacity(2 * csr.num_edges());
-    offsets.push(0usize);
-    for v in 0..n {
-        let (ts, ws) = csr.arcs(v);
-        targets.extend(ts.iter().map(|&t| t as u32));
-        weights.extend(ws.iter().map(|&w| T::from_weight(w)));
-        offsets.push(targets.len());
-    }
+    let n = adjacency.num_nodes();
     // Union-frontier worklist plus the dense changed-flag array it is
     // rebuilt from after every sweep.
     let mut frontier: Vec<u32> = Vec::new();
@@ -328,9 +297,8 @@ fn batched_chunks<T: DistCell>(
             }
             for &u in &frontier {
                 let urow = u as usize * sc;
-                let lo = offsets[u as usize];
-                let hi = offsets[u as usize + 1];
-                for (&v, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+                let (targets, weights) = adjacency.arcs(u as usize);
+                for (&v, &w) in targets.iter().zip(weights) {
                     let vrow = v as usize * sc;
                     // Relaxing every chunk source here (including ones whose
                     // value at `u` did not change last sweep) only re-offers
@@ -370,12 +338,11 @@ fn batched_chunks<T: DistCell>(
         let mut best_key: Vec<T::Key> = vec![T::KEY_MAX; sc];
         for v in 0..n {
             let vrow = v * sc;
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
+            let (targets, weights) = adjacency.arcs(v);
             for key in best_key.iter_mut() {
                 *key = T::KEY_MAX;
             }
-            for (&p, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+            for (&p, &w) in targets.iter().zip(weights) {
                 let prow = p as usize * sc;
                 for (key, &pd) in best_key.iter_mut().zip(&cur[prow..prow + sc]) {
                     let cand = pd.add_capped(w).pack(p);

@@ -11,7 +11,6 @@
 //! round charges** used by the higher-level constructions when they invoke
 //! Lemma 1 as a black box.
 
-use en_graph::tree::RootedTree;
 use en_graph::{NodeId, WeightedGraph};
 
 use crate::bfs_tree::build_bfs_tree;
@@ -238,14 +237,6 @@ pub fn pipelined_convergecast(
         stats,
         tree_depth: bfs.depth,
     }
-}
-
-/// Builds a [`RootedTree`] BFS backbone and returns `(tree, depth)`; a
-/// convenience used by higher layers that need a broadcast tree but charge
-/// rounds analytically.
-pub fn bfs_backbone(g: &WeightedGraph, root: NodeId) -> (RootedTree, usize) {
-    let res = build_bfs_tree(g, root);
-    (res.tree, res.depth)
 }
 
 #[cfg(test)]

@@ -56,8 +56,8 @@ pub struct ClusterDiagnostics {
 /// membership CSR once, at the family's final `finish()`. Every level is
 /// grown by one batched restricted multi-source pass over a shared CSR view
 /// (all centres of the level share the threshold vector `d̂_{i+1}(·)`);
-/// that sweep and its forest pushes shard over up to `opts.threads` workers,
-/// bit-identically to the sequential path. Returns the phase's round
+/// that sweep and its forest pushes shard into up to `opts.threads` parts,
+/// bit-identically for every thread count. Returns the phase's round
 /// charges, diagnostics and per-thread work accounting.
 pub fn small_scale_clusters(
     g: &WeightedGraph,

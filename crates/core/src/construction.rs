@@ -100,7 +100,7 @@ impl BuiltScheme {
 /// Runs the full distributed construction on `g`.
 ///
 /// Uses the host's available parallelism ([`BuildOptions::default`]); the
-/// parallel build is bit-identical to the sequential one, so the thread
+/// parallel build is bit-identical to the one-thread one, so the thread
 /// count never changes the produced scheme (see
 /// [`en_graph::parallel`] and `tests/property_parallel_build.rs`).
 ///
@@ -117,7 +117,8 @@ pub fn build_routing_scheme(
 
 /// [`build_routing_scheme`] with an explicit thread-count knob.
 ///
-/// `opts.threads = 1` runs the exact sequential pipeline — the oracle the
+/// `opts.threads = 1` runs every phase as one part, inline on the calling
+/// thread, through the same code as any other thread count — the oracle the
 /// determinism suite compares every other thread count against.
 ///
 /// # Errors

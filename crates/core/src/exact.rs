@@ -35,8 +35,8 @@ use en_graph::forest::{ClusterForestBuilder, ClusterId, ForestMember};
 use en_graph::restricted::{restricted_multi_source_csr_grouped, RestrictedMultiSource};
 use en_graph::tree::RootedTree;
 use en_graph::{
-    dist_add, is_finite, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId, NodeMap,
-    Weight, WeightedGraph, INFINITY,
+    dist_add, is_finite, run_parts, shard_spans, BuildOptions, BuildStats, CsrGraph, Dist, NodeId,
+    NodeMap, Weight, WeightedGraph, INFINITY,
 };
 
 use crate::family::{Cluster, ClusterFamily};
@@ -168,10 +168,10 @@ pub fn grow_exact_cluster_csr(
 /// passed through and the kernel's own grouping Dijkstra is skipped.
 ///
 /// The restricted sweep shards its source chunks and the forest pushes shard
-/// the resulting clusters across up to `opts.threads` scoped workers whose
-/// private builders are absorbed in shard order — the merged forest is
-/// bit-identical to the sequential one. Returns the pushed id range and the
-/// combined per-thread work accounting of both phases.
+/// the resulting clusters into up to `opts.threads` parts whose builders are
+/// merged in span order — the forest is bit-identical for every thread
+/// count. Returns the pushed id range and the combined per-thread work
+/// accounting of both phases.
 pub fn grow_exact_clusters_batched(
     csr: &CsrGraph,
     centers: &[NodeId],
@@ -205,12 +205,14 @@ pub fn grow_exact_clusters_batched(
 /// intermediate host-sized tree, no per-centre hash map. Returns the range
 /// of [`ClusterId`]s pushed (one per source, in source order).
 ///
-/// The sources are sharded into contiguous spans, each span's clusters are
-/// pushed into a private per-worker [`ClusterForestBuilder`], and the
-/// workers' builders are absorbed into `builder` **in shard order** —
-/// cluster ids come out exactly as the sequential loop assigns them (see
-/// [`ClusterForestBuilder::absorb`] for why the order matters). Also returns
-/// per-thread work accounting (clusters pushed; forest members appended).
+/// The sources are sharded into contiguous spans, one part of
+/// [`run_parts`] each. The first part pushes straight into `builder`; every
+/// later part pushes into a private [`ClusterForestBuilder`], absorbed into
+/// `builder` **in span order** — cluster ids come out exactly as the
+/// single-part loop assigns them (see [`ClusterForestBuilder::absorb`] for
+/// why the order matters), and a single-thread build copies no member data.
+/// Also returns per-thread work accounting (clusters pushed; forest members
+/// appended).
 pub fn push_restricted_clusters(
     builder: &mut ClusterForestBuilder,
     res: &RestrictedMultiSource,
@@ -218,38 +220,30 @@ pub fn push_restricted_clusters(
     opts: &BuildOptions,
 ) -> (std::ops::Range<ClusterId>, BuildStats) {
     let start = builder.num_clusters();
-    let spans = shard_spans(res.sources().len(), opts.threads, 1);
-    if spans.len() <= 1 {
-        let before = builder.total_members();
-        for s in 0..res.sources().len() {
-            push_one_restricted_cluster(builder, res, s, level);
+    let mut caller = Some(&mut *builder);
+    let parts: Vec<_> = shard_spans(res.sources().len(), opts.threads, 1)
+        .into_iter()
+        .map(|span| (span, caller.take()))
+        .collect();
+    let pushed = run_parts(parts, |(span, caller)| {
+        let mut local = None;
+        let target = match caller {
+            Some(builder) => builder,
+            None => local.insert(ClusterForestBuilder::new(res.num_vertices())),
+        };
+        let before = target.total_members();
+        for s in span.clone() {
+            push_one_restricted_cluster(target, res, s, level);
         }
-        let stats = BuildStats::single(res.sources().len(), builder.total_members() - before);
-        return (start..builder.num_clusters(), stats);
-    }
-    let shards: Vec<ClusterForestBuilder> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|span| {
-                let span = span.clone();
-                scope.spawn(move || {
-                    let mut local = ClusterForestBuilder::new(res.num_vertices());
-                    for s in span {
-                        push_one_restricted_cluster(&mut local, res, s, level);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("forest push worker panicked"))
-            .collect()
+        let members = target.total_members() - before;
+        (span.len(), members, local)
     });
     let mut stats = BuildStats::default();
-    for (span, local) in spans.iter().zip(shards) {
-        stats.record(span.len(), local.total_members());
-        builder.absorb(local);
+    for (sources, members, local) in pushed {
+        stats.record(sources, members);
+        if let Some(local) = local {
+            builder.absorb(local);
+        }
     }
     (start..builder.num_clusters(), stats)
 }

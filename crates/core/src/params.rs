@@ -44,12 +44,6 @@ impl SchemeParams {
         self.k.div_ceil(2)
     }
 
-    /// Whether the level `i` is handled by the small-scale construction
-    /// (`i < ⌈k/2⌉`), not counting the odd-`k` middle level refinement.
-    pub fn is_small_scale(&self, i: usize) -> bool {
-        i < self.half_k()
-    }
-
     /// The odd-`k` middle level `(k−1)/2`, if `k` is odd and `k ≥ 3`.
     pub fn middle_level(&self) -> Option<usize> {
         if self.k % 2 == 1 && self.k >= 3 {

@@ -171,6 +171,7 @@ impl Preprocessing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use en_graph::bellman_ford::hop_bounded_distances_csr;
     use en_graph::dijkstra::all_pairs_dijkstra;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 
@@ -216,8 +217,9 @@ mod tests {
         {
             let truth = all_pairs_dijkstra(&g);
             let eps = params.epsilon();
+            let aug = pre.augmented.to_csr();
             for i in 0..pre.m() {
-                let (dist, _) = pre.augmented.hop_bounded_from(i, pre.beta);
+                let dist = hop_bounded_distances_csr(&aug, i, pre.beta).dist;
                 for j in 0..pre.m() {
                     if i == j {
                         continue;

@@ -21,7 +21,9 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use en_graph::dijkstra::dijkstra;
-use en_graph::{shard_spans, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Path, WeightedGraph};
+use en_graph::{
+    run_parts, shard_spans, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Path, WeightedGraph,
+};
 use en_tree_routing::{
     TableSlots, TreeLabel, TreeLabelRef, TreeRoutingConfig, TreeRoutingScheme, TreeTable,
 };
@@ -106,30 +108,6 @@ pub struct RoutingScheme {
     center_level: NodeMap<usize>,
 }
 
-/// Runs one independent closure per span, on scoped worker threads when
-/// there is more than one span, and returns the results in span order — the
-/// fixed merge order that keeps the parallel assembly bit-identical to the
-/// sequential one (see [`en_graph::parallel`]).
-fn run_sharded<T: Send>(spans: &[Range<usize>], work: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
-    if spans.len() <= 1 {
-        return spans.iter().map(|span| work(span.clone())).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|span| {
-                let span = span.clone();
-                let work = &work;
-                scope.spawn(move || work(span))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scheme assembly worker panicked"))
-            .collect()
-    })
-}
-
 /// The outcome of routing one packet.
 #[derive(Debug, Clone)]
 pub struct RouteOutcome {
@@ -160,12 +138,12 @@ impl RoutingScheme {
     /// forest's inverted membership CSR instead of one `members()` loop per
     /// cluster.
     ///
-    /// Two phases shard over up to `opts.threads` `std::thread::scope`
-    /// workers: the per-tree scheme builds (contiguous cluster-id spans —
-    /// each tree's portal sampling is seeded from its own centre, so the
-    /// processing order is immaterial) and the per-vertex table/label sweep
-    /// (contiguous vertex spans). Per-worker outputs are concatenated in span
-    /// order, so the assembled scheme is bit-identical to the sequential one
+    /// Two phases shard into up to `opts.threads` parts of
+    /// [`en_graph::run_parts`]: the per-tree scheme builds (contiguous
+    /// cluster-id spans — each tree's portal sampling is seeded from its own
+    /// centre, so the processing order is immaterial) and the per-vertex
+    /// table/label sweep (contiguous vertex spans). Per-part outputs are
+    /// concatenated in span order, so the assembled scheme is bit-identical
     /// for every thread count.
     pub fn assemble(
         family: &ClusterFamily,
@@ -196,8 +174,9 @@ impl RoutingScheme {
         let tree_spans = shard_spans(num_clusters, opts.threads, 1);
         let mut schemes_by_id = Vec::with_capacity(num_clusters);
         let mut tree_stats = BuildStats::default();
-        for (span, (schemes, members)) in
-            tree_spans.iter().zip(run_sharded(&tree_spans, build_trees))
+        for (span, (schemes, members)) in tree_spans
+            .iter()
+            .zip(run_parts(tree_spans.clone(), build_trees))
         {
             tree_stats.record(span.len(), members);
             schemes_by_id.extend(schemes);
@@ -262,7 +241,10 @@ impl RoutingScheme {
         let mut tables: Vec<NodeTable> = (0..n).map(|_| NodeTable::default()).collect();
         let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
         let mut sweep_stats = BuildStats::default();
-        for (span, (rows, produced)) in vertex_spans.iter().zip(run_sharded(&vertex_spans, sweep)) {
+        for (span, (rows, produced)) in vertex_spans
+            .iter()
+            .zip(run_parts(vertex_spans.clone(), sweep))
+        {
             sweep_stats.record(span.len(), produced);
             for (j, (trees, label)) in rows.into_iter().enumerate() {
                 tables[span.start + j].trees = trees;

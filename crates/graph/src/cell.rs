@@ -10,10 +10,12 @@
 //! "quarter of the type's range" sentinel for +∞ so a saturating add can
 //! never wrap.
 //!
-//! This module is the single home of that machinery so every batched kernel
-//! in the workspace shares one implementation.
+//! This module is the single home of that machinery — the cells and the
+//! [`PackedAdjacency`] they relax over — so every batched kernel in the
+//! workspace shares one implementation.
 
-use crate::types::{Dist, Weight, INFINITY};
+use crate::csr::CsrGraph;
+use crate::types::{Dist, NodeId, Weight, INFINITY};
 
 /// A distance cell of a batched relaxation kernel.
 ///
@@ -21,7 +23,7 @@ use crate::types::{Dist, Weight, INFINITY};
 /// fits — see [`fits_i32`]) and `u64` (the general fallback, whose domain is
 /// the public [`Dist`] domain itself).
 pub trait DistCell:
-    Copy + Ord + std::ops::BitXor<Output = Self> + std::ops::BitOr<Output = Self>
+    Copy + Ord + Send + Sync + std::ops::BitXor<Output = Self> + std::ops::BitOr<Output = Self>
 {
     /// The unreachable sentinel for this cell width.
     const INF: Self;
@@ -56,6 +58,52 @@ pub trait DistCell:
 /// (a simple path has at most `n - 1` edges), so the narrow kernel is exact.
 pub fn fits_i32(n: usize, max_weight: Weight) -> bool {
     (n as u128).saturating_mul(max_weight as u128) < <i32 as DistCell>::INF as u128
+}
+
+/// A CSR adjacency repacked for a batched kernel: `u32` targets and
+/// cell-width weights halve the per-sweep memory traffic relative to the
+/// `usize`/`u64` arrays of [`CsrGraph`]. Built once per kernel call and
+/// shared by every part of the call; arc order is the CSR's.
+#[derive(Debug)]
+pub struct PackedAdjacency<T> {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    weights: Vec<T>,
+}
+
+impl<T: DistCell> PackedAdjacency<T> {
+    /// Packs `csr`, whose vertex ids must fit in `u32` and whose weights
+    /// must fit the cell (see [`fits_i32`]).
+    pub fn new(csr: &CsrGraph) -> Self {
+        let n = csr.num_nodes();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * csr.num_edges());
+        let mut weights = Vec::with_capacity(2 * csr.num_edges());
+        offsets.push(0);
+        for v in 0..n {
+            let (ts, ws) = csr.arcs(v);
+            targets.extend(ts.iter().map(|&t| t as u32));
+            weights.extend(ws.iter().map(|&w| T::from_weight(w)));
+            offsets.push(targets.len());
+        }
+        PackedAdjacency {
+            offsets,
+            targets,
+            weights,
+        }
+    }
+
+    /// Number of vertices.
+    pub fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The arcs of `v`: targets and weights, in CSR order.
+    #[inline]
+    pub fn arcs(&self, v: NodeId) -> (&[u32], &[T]) {
+        let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
+        (&self.targets[lo..hi], &self.weights[lo..hi])
+    }
 }
 
 impl DistCell for u64 {

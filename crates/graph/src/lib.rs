@@ -25,8 +25,10 @@
 //!   `en_congest_algos` reuses).
 //! * [`parallel`] — the deterministic-parallelism plumbing shared by every
 //!   construction phase: [`BuildOptions`] (thread count), [`BuildStats`]
-//!   (per-thread work accounting), and the chunk-aligned [`shard_spans`]
-//!   sharding that keeps parallel builds bit-identical to sequential ones.
+//!   (per-thread work accounting), the chunk-aligned [`shard_spans`]
+//!   sharding that keeps parallel builds bit-identical to single-thread
+//!   ones, and [`run_parts`], the one scoped-worker primitive every parallel
+//!   phase runs through.
 //! * [`dijkstra`] — exact single-source shortest paths (the ground truth all
 //!   stretch measurements are computed against).
 //! * [`bellman_ford`] — hop-bounded distances `d^{(t)}_G` (Section 2 of the
@@ -76,7 +78,7 @@ pub use forest::{
     TreeView,
 };
 pub use graph::{Edge, Neighbor, WeightedGraph};
-pub use parallel::{shard_spans, BuildOptions, BuildStats};
+pub use parallel::{run_parts, shard_spans, BuildOptions, BuildStats};
 pub use path::Path;
 pub use restricted::{
     restricted_multi_source_csr, restricted_multi_source_csr_grouped, RestrictedMultiSource,

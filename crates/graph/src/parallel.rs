@@ -1,38 +1,42 @@
-//! Deterministic parallelism plumbing for the construction pipeline.
+//! Deterministic parallelism plumbing for the construction pipeline and the
+//! serving engine.
 //!
 //! The batched construction kernels (the Theorem-1 multi-source kernel, the
 //! restricted cluster-growing kernel, the forest pushes and the Section-4
 //! scheme assembly) all process *independent* work items — a source's output
 //! column depends only on the graph and the shared threshold vector, never on
-//! which chunk-mates it was batched with. That makes them parallelisable over
-//! plain `std::thread::scope` workers **without changing a single output
-//! bit**, provided two invariants hold:
+//! which chunk-mates it was batched with. That makes them parallelisable
+//! **without changing a single output bit**, provided two invariants hold:
 //!
 //! 1. **Chunk composition is preserved.** Work is split into *contiguous*
 //!    spans whose boundaries are multiples of the kernel's chunk width
 //!    ([`shard_spans`]), so each worker processes exactly the chunks the
 //!    sequential sweep would have — same chunk-mates, same ragged tail.
-//! 2. **Merge order is fixed.** Per-worker outputs (distance spans, forest
-//!    shards, table spans) are concatenated in span order on the calling
-//!    thread, reproducing the sequential append order exactly.
+//! 2. **Merge order is fixed.** Per-part outputs (distance spans, forest
+//!    shards, table spans) come back from [`run_parts`] in part order and
+//!    are merged on the calling thread, reproducing the sequential append
+//!    order exactly.
 //!
-//! There is no RNG in any kernel (tree-routing portal sampling is seeded per
-//! centre, independent of processing order), no floating-point reduction
-//! across shards, and every tie-break is by vertex id — so the parallel
-//! build is bit-identical to the sequential one for every thread count. The
+//! [`run_parts`] is the one spawn/join site: every parallel phase hands it
+//! its parts, and one part — a single-thread build, or a phase too small to
+//! split — runs the same code inline on the calling thread. There is no RNG
+//! in any kernel (tree-routing portal sampling is seeded per centre,
+//! independent of processing order), no floating-point reduction across
+//! parts, and every tie-break is by vertex id — so the parallel build is
+//! bit-identical to the single-thread one for every thread count. The
 //! default `cargo test` pass enforces this (see
-//! `tests/property_parallel_build.rs`); [`BuildStats`] carries the
-//! per-thread work accounting that makes the sharding itself observable, so
-//! a multi-core host can verify both the determinism *and* the speedup.
+//! `tests/property_parallel_build.rs`); [`BuildStats`] carries the per-part
+//! work accounting that makes the sharding itself observable, so a
+//! multi-core host can verify both the determinism *and* the speedup.
 
 use std::ops::Range;
 
 /// Thread-count knob of the parallel construction pipeline.
 ///
-/// `threads` is an upper bound: a phase never spawns more workers than it has
-/// aligned spans of work (see [`shard_spans`]), and `threads <= 1` runs the
-/// exact sequential code path. The parallel output is bit-identical to the
-/// sequential one in all cases.
+/// `threads` is an upper bound: a phase never splits into more parts than it
+/// has aligned spans of work (see [`shard_spans`]). `threads <= 1` gives one
+/// part, which runs the same code inline on the calling thread (see
+/// [`run_parts`]). The output is bit-identical for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildOptions {
     /// Maximum number of worker threads per parallel phase (minimum 1).
@@ -58,7 +62,8 @@ impl BuildOptions {
 }
 
 /// Per-thread work accounting of a parallel build, the observable footprint
-/// of the sharding: entry `t` counts the work executed by worker slot `t`.
+/// of the sharding: entry `t` counts the work executed by part `t` of each
+/// phase. A phase with no work records no slot.
 ///
 /// Across thread counts the *totals* are invariant — the same sources are
 /// swept and the same members are produced however the work is sharded — and
@@ -74,15 +79,7 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Accounting of a phase that ran on a single worker.
-    pub fn single(sources: usize, members: usize) -> Self {
-        BuildStats {
-            per_thread_sources: vec![sources],
-            per_thread_members: vec![members],
-        }
-    }
-
-    /// Appends one worker slot's counts (call in span order).
+    /// Appends one part's counts (call in part order).
     pub fn record(&mut self, sources: usize, members: usize) {
         self.per_thread_sources.push(sources);
         self.per_thread_members.push(members);
@@ -130,6 +127,29 @@ impl BuildStats {
             *a += b;
         }
     }
+}
+
+/// Runs `work` once per part and returns the results in part order.
+///
+/// Zero or one part runs inline on the calling thread; more parts run on one
+/// scoped worker each. Either way every part runs the same `work`, so a
+/// single-thread build and a many-thread build execute the same code. A
+/// panicking part is re-raised on the caller with its own payload.
+pub fn run_parts<P: Send, T: Send>(parts: Vec<P>, work: impl Fn(P) -> T + Sync) -> Vec<T> {
+    if parts.len() <= 1 {
+        return parts.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|part| scope.spawn(move || work(part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// Splits `0..len` into at most `workers` contiguous spans whose start
@@ -218,7 +238,8 @@ mod tests {
 
     #[test]
     fn stats_absorb_adds_slotwise_and_totals() {
-        let mut a = BuildStats::single(10, 100);
+        let mut a = BuildStats::default();
+        a.record(10, 100);
         a.absorb(&BuildStats {
             per_thread_sources: vec![1, 2, 3],
             per_thread_members: vec![4, 5, 6],
@@ -233,6 +254,62 @@ mod tests {
         b.record(9, 10);
         assert_eq!(b.total_sources(), 16);
         assert_eq!(b.total_members(), 18);
+    }
+
+    #[test]
+    fn run_parts_keeps_part_order() {
+        for parts in [0usize, 1, 7] {
+            let input: Vec<usize> = (0..parts).collect();
+            let out = run_parts(input.clone(), |p| p * 10);
+            let expected: Vec<usize> = input.iter().map(|p| p * 10).collect();
+            assert_eq!(out, expected, "{parts} parts");
+        }
+    }
+
+    #[test]
+    fn run_parts_runs_a_single_part_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        assert_eq!(
+            run_parts(vec![()], |()| std::thread::current().id()),
+            vec![caller]
+        );
+        let ids = run_parts(vec![(), ()], |()| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != caller), "two parts use workers");
+    }
+
+    #[test]
+    #[should_panic(expected = "part 3 failed")]
+    fn run_parts_reraises_a_worker_panic_with_its_payload() {
+        run_parts((0..5).collect(), |p: usize| {
+            if p == 3 {
+                panic!("part {p} failed");
+            }
+            p
+        });
+    }
+
+    #[test]
+    fn empty_phase_records_no_slot() {
+        // A phase with no work hands `run_parts` no parts and so records no
+        // slot; folded into a build that did any work, it leaves the
+        // whole-build accounting unchanged.
+        use crate::generators::{path, GeneratorConfig};
+        let csr = crate::CsrGraph::from_graph(&path(&GeneratorConfig::new(4, 1)));
+        for threads in [1, 4] {
+            let (_, stats) = crate::restricted_multi_source_csr(
+                &csr,
+                &[],
+                &[0; 4],
+                None,
+                &BuildOptions::new(threads),
+            );
+            assert_eq!(stats, BuildStats::default(), "{threads} threads");
+        }
+        let mut build = BuildStats::default();
+        build.record(3, 9);
+        let before = build.clone();
+        build.absorb(&BuildStats::default());
+        assert_eq!(build, before);
     }
 
     #[test]

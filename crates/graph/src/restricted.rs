@@ -18,12 +18,12 @@
 //! Sources are locality-ordered (grouped by their Voronoi cell around the
 //! zero-threshold set, which for genuine TZ thresholds is exactly `A_{i+1}`,
 //! so chunk-mates' clusters overlap) and processed in chunks — 32 wide for
-//! restricted growth, 64 for spanning growth — over a local packed adjacency
-//! (`u32` targets, cell-width weights). Within a chunk the state is
-//! *vertex-major* (one contiguous row of per-source values per vertex) and
-//! every sweep walks the adjacency once for the **union frontier** — the
-//! vertices whose value changed for *any* chunk source in the previous
-//! sweep, pruned of vertices with no admitted cell. The membership
+//! restricted growth, 64 for spanning growth — over one shared
+//! [`PackedAdjacency`] (`u32` targets, cell-width weights). Within a chunk
+//! the state is *vertex-major* (one contiguous row of per-source values per
+//! vertex) and every sweep walks the adjacency once for the **union
+//! frontier** — the vertices whose value changed for *any* chunk source in
+//! the previous sweep, pruned of vertices with no admitted cell. The membership
 //! restriction is applied branchlessly when a relay row is refreshed: a cell
 //! relays its value only while it is *admitted* (`value <
 //! threshold[vertex]`, strict per definition (6)); the sources themselves
@@ -53,17 +53,18 @@
 //! # Parallelism
 //!
 //! A source's output column depends only on the graph and the shared
-//! threshold vector — chunk-mates share sweeps, never values — so the
-//! both entry points shard the locality-ordered source sequence into
-//! chunk-aligned contiguous spans ([`shard_spans`]) and sweep each span on
-//! its own scoped worker thread. Chunk composition and all per-source
-//! outputs are exactly those of the sequential sweep, so the parallel run
-//! is bit-identical for every thread count; per-thread work accounting is
-//! returned as [`BuildStats`].
+//! threshold vector — chunk-mates share sweeps, never values — so both
+//! entry points shard the locality-ordered source sequence into
+//! chunk-aligned contiguous spans ([`shard_spans`]) and sweep each span as
+//! one part of [`run_parts`] (inline for a single span, one scoped worker
+//! per span otherwise). Chunk composition and all per-source outputs are
+//! exactly those of the single-span sweep, so the result is bit-identical
+//! for every thread count; per-thread work accounting is returned as
+//! [`BuildStats`].
 
-use crate::cell::{fits_i32, DistCell};
+use crate::cell::{fits_i32, DistCell, PackedAdjacency};
 use crate::csr::CsrGraph;
-use crate::parallel::{shard_spans, BuildOptions, BuildStats};
+use crate::parallel::{run_parts, shard_spans, BuildOptions, BuildStats};
 use crate::types::{Dist, NodeId, Weight, INFINITY};
 
 /// `parent` sentinel meaning "no parent recorded".
@@ -206,9 +207,9 @@ impl RestrictedMultiSource {
 /// stops after `β` levelled sweeps (the depth-bounded Bellman–Ford semantics
 /// of Section 3.3.2, the seeding sweep included).
 ///
-/// The locality-ordered sources are swept in chunk-aligned spans on up to
-/// `opts.threads` scoped worker threads, bit-identically to the sequential
-/// run (see the module docs). Also returns the per-thread work accounting.
+/// The locality-ordered sources are swept in up to `opts.threads`
+/// chunk-aligned spans, bit-identically for every thread count (see the
+/// module docs). Also returns the per-thread work accounting.
 ///
 /// # Panics
 ///
@@ -286,11 +287,6 @@ fn restricted_multi_source_ordered(
     en_obs::counter_add("kernel.restricted.sources", sources.len() as u64);
     let n = csr.num_nodes();
     let budget = max_sweeps.unwrap_or(usize::MAX);
-    let mut out = Outputs {
-        reached: vec![Vec::new(); sources.len()],
-        member_rows: vec![Vec::new(); sources.len()],
-        members: vec![Vec::new(); sources.len()],
-    };
     // Sources are processed in locality order — chunk-mates' restricted
     // regions overlap, so the batched rows carry many live cells instead of
     // one or two. Output rows stay in caller order via the position map, and
@@ -302,7 +298,7 @@ fn restricted_multi_source_ordered(
     // full 64-cell rows amortise best.
     let finite_thresholds = threshold.iter().filter(|&&t| t < INFINITY).count();
     let chunk_cap = if 2 * finite_thresholds > n { 32 } else { 64 };
-    let stats = if fits_i32(n, csr.max_weight()) {
+    let (out, stats) = if fits_i32(n, csr.max_weight()) {
         run_sharded::<i32>(
             csr,
             &permuted,
@@ -311,7 +307,6 @@ fn restricted_multi_source_ordered(
             budget,
             chunk_cap,
             opts.threads,
-            &mut out,
         )
     } else {
         run_sharded::<u64>(
@@ -322,7 +317,6 @@ fn restricted_multi_source_ordered(
             budget,
             chunk_cap,
             opts.threads,
-            &mut out,
         )
     };
     let Outputs {
@@ -345,12 +339,11 @@ fn restricted_multi_source_ordered(
 }
 
 /// Shards the permuted source sequence into chunk-aligned spans and sweeps
-/// each span on its own scoped worker (sequentially in place for a single
-/// span). Workers fill span-local outputs with span-local row maps; the
-/// coordinator scatters them back to caller-order rows through `order`, so
-/// the result is bit-identical to the one sequential sweep — the chunks each
-/// worker processes are exactly the sequential chunks ([`shard_spans`]).
-#[allow(clippy::too_many_arguments)]
+/// each span as one part of [`run_parts`] over one shared packed adjacency.
+/// Every part fills span-local outputs; the caller-order outputs are then
+/// scattered back through `order` (vector moves only), so the result is
+/// bit-identical for every thread count — the chunks each part processes
+/// are exactly the single-span chunks ([`shard_spans`]).
 fn run_sharded<T: DistCell>(
     csr: &CsrGraph,
     permuted: &[NodeId],
@@ -359,45 +352,13 @@ fn run_sharded<T: DistCell>(
     budget: usize,
     chunk_cap: usize,
     threads: usize,
-    out: &mut Outputs,
-) -> BuildStats {
+) -> (Outputs, BuildStats) {
+    let adjacency = PackedAdjacency::<T>::new(csr);
     let spans = shard_spans(permuted.len(), threads, chunk_cap);
-    if spans.len() <= 1 {
-        restricted_chunks::<T>(csr, permuted, order, threshold, budget, chunk_cap, out);
-        let members = out.members.iter().map(Vec::len).sum();
-        return BuildStats::single(permuted.len(), members);
-    }
-    let shards: Vec<Outputs> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|span| {
-                let span = span.clone();
-                scope.spawn(move || {
-                    let len = span.len();
-                    let rows: Vec<usize> = (0..len).collect();
-                    let mut local = Outputs {
-                        reached: vec![Vec::new(); len],
-                        member_rows: vec![Vec::new(); len],
-                        members: vec![Vec::new(); len],
-                    };
-                    restricted_chunks::<T>(
-                        csr,
-                        &permuted[span],
-                        &rows,
-                        threshold,
-                        budget,
-                        chunk_cap,
-                        &mut local,
-                    );
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("restricted kernel worker panicked"))
-            .collect()
+    let shards = run_parts(spans.clone(), |span| {
+        restricted_chunks(&adjacency, &permuted[span], threshold, budget, chunk_cap)
     });
+    let mut out = Outputs::new(permuted.len());
     let mut stats = BuildStats::default();
     for (span, local) in spans.iter().zip(shards) {
         stats.record(span.len(), local.members.iter().map(Vec::len).sum());
@@ -418,7 +379,7 @@ fn run_sharded<T: DistCell>(
             out.members[si] = m;
         }
     }
-    stats
+    (out, stats)
 }
 
 /// The compact per-source output the kernel fills, bundled to keep call
@@ -427,6 +388,17 @@ struct Outputs {
     reached: Vec<Vec<(u32, Dist)>>,
     member_rows: Vec<Vec<MemberCell>>,
     members: Vec<Vec<NodeId>>,
+}
+
+impl Outputs {
+    /// Empty rows for `len` sources.
+    fn new(len: usize) -> Self {
+        Outputs {
+            reached: vec![Vec::new(); len],
+            member_rows: vec![Vec::new(); len],
+            members: vec![Vec::new(); len],
+        }
+    }
 }
 
 /// Positions of `sources` ordered so that sources with overlapping
@@ -476,10 +448,9 @@ fn locality_order(csr: &CsrGraph, sources: &[NodeId], threshold: &[Dist]) -> Vec
 }
 
 /// The batched vertex-major kernel: processes the (locality-ordered)
-/// `sources` in chunks of `chunk_cap`, appending restricted distances,
-/// member parents and relaxed parent weights to the compact per-source
-/// outputs — `rows[p]` maps processing position `p` back to the caller's
-/// row index.
+/// `sources` in chunks of `chunk_cap`, returning restricted distances,
+/// member parents and relaxed parent weights as compact per-source outputs
+/// in processing order.
 ///
 /// Restricted growth is *sparse* — a level-0 cluster touches a small
 /// neighbourhood, not the whole graph — so unlike the Theorem-1 kernel every
@@ -496,29 +467,15 @@ fn locality_order(csr: &CsrGraph, sources: &[NodeId], threshold: &[Dist]) -> Vec
 /// streams the chunk state over the sorted touched list into append-only
 /// per-source lists, so nothing ever scatters across an `|sources| × n`
 /// array.
-#[allow(clippy::too_many_arguments)]
 fn restricted_chunks<T: DistCell>(
-    csr: &CsrGraph,
+    adjacency: &PackedAdjacency<T>,
     sources: &[NodeId],
-    rows: &[usize],
     threshold: &[Dist],
     sweep_budget: usize,
     chunk_cap: usize,
-    out: &mut Outputs,
-) {
-    let n = csr.num_nodes();
-    // Local packed adjacency: u32 targets and cell-width weights halve the
-    // per-sweep memory traffic relative to the usize/u64 CSR arrays.
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut targets: Vec<u32> = Vec::with_capacity(2 * csr.num_edges());
-    let mut weights: Vec<T> = Vec::with_capacity(2 * csr.num_edges());
-    offsets.push(0usize);
-    for v in 0..n {
-        let (ts, ws) = csr.arcs(v);
-        targets.extend(ts.iter().map(|&t| t as u32));
-        weights.extend(ws.iter().map(|&w| T::from_weight(w)));
-        offsets.push(targets.len());
-    }
+) -> Outputs {
+    let n = adjacency.num_nodes();
+    let mut out = Outputs::new(sources.len());
     let thr: Vec<T> = threshold.iter().map(|&t| T::from_threshold(t)).collect();
     // Vertex-major state, allocated once: `cur[v * chunk_cap + j]` is the current
     // best value of vertex `v` for chunk source `j`; `prev` holds the
@@ -550,9 +507,8 @@ fn restricted_chunks<T: DistCell>(
         // so the per-sweep mask below can stay branchless.
         if sweep_budget > 0 {
             for (j, &src) in chunk.iter().enumerate() {
-                let lo = offsets[src];
-                let hi = offsets[src + 1];
-                for (&v, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+                let (targets, weights) = adjacency.arcs(src);
+                for (&v, &w) in targets.iter().zip(weights) {
                     let cell = &mut cur[v as usize * chunk_cap + j];
                     if w < *cell {
                         *cell = w;
@@ -621,9 +577,8 @@ fn restricted_chunks<T: DistCell>(
                         *pd = if cd < t { cd } else { T::INF };
                     }
                 }
-                let lo = offsets[u as usize];
-                let hi = offsets[u as usize + 1];
-                for (&v, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+                let (targets, weights) = adjacency.arcs(u as usize);
+                for (&v, &w) in targets.iter().zip(weights) {
                     let vrow = v as usize * chunk_cap;
                     // Fixed-width branchless min over all chunk sources; the
                     // masked INF cells saturate and never win, and the XOR
@@ -685,8 +640,7 @@ fn restricted_chunks<T: DistCell>(
             let v = v as usize;
             let vrow = v * chunk_cap;
             let t = thr[v];
-            let lo = offsets[v];
-            let hi = offsets[v + 1];
+            let (targets, weights) = adjacency.arcs(v);
             let members_in_row = cur[vrow..vrow + chunk_cap]
                 .iter()
                 .filter(|&&d| d < t)
@@ -698,7 +652,7 @@ fn restricted_chunks<T: DistCell>(
                 // Dense row: one branchless argmin sweep over the adjacency
                 // serves every cell.
                 keys[vrow..vrow + chunk_cap].fill(T::KEY_MAX);
-                for (&p, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+                for (&p, &w) in targets.iter().zip(weights) {
                     let prow = p as usize * chunk_cap;
                     for (key, &pd) in keys[vrow..vrow + chunk_cap]
                         .iter_mut()
@@ -715,7 +669,7 @@ fn restricted_chunks<T: DistCell>(
                         continue;
                     }
                     let mut best = T::KEY_MAX;
-                    for (&p, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+                    for (&p, &w) in targets.iter().zip(weights) {
                         let pd = prev[p as usize * chunk_cap + j];
                         let cand = pd.add_capped(w).pack(p);
                         best = best.min(cand);
@@ -730,7 +684,7 @@ fn restricted_chunks<T: DistCell>(
         // allocated or scattered into. The member lists come out sorted
         // because the touched list is.
         for (j, &src) in chunk.iter().enumerate() {
-            let si = rows[chunk_index * chunk_cap + j];
+            let si = chunk_index * chunk_cap + j;
             let reached = &mut out.reached[si];
             let member_rows = &mut out.member_rows[si];
             let mlist = &mut out.members[si];
@@ -777,6 +731,7 @@ fn restricted_chunks<T: DistCell>(
         }
         touched.clear();
     }
+    out
 }
 
 #[cfg(test)]

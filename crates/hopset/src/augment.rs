@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use en_graph::{CsrGraph, Dist, NodeId, WeightedGraph, INFINITY};
+use en_graph::{CsrGraph, Dist, NodeId, WeightedGraph};
 
 use crate::edge::Hopset;
 
@@ -24,17 +24,13 @@ pub struct AugNeighbor {
     pub hopset_index: Option<usize>,
 }
 
-/// Predecessor entry produced by [`AugmentedGraph::hop_bounded_from`]: the
-/// predecessor vertex plus, if the final edge is a hopset edge, its index in
-/// the hopset (`None` for an original edge of the base graph).
-pub type HopBoundedParent = Option<(NodeId, Option<usize>)>;
-
 /// The graph `G'' = (V, E ∪ F)` with per-edge provenance.
 ///
 /// The adjacency is stored in CSR form — one flat [`AugNeighbor`] array plus
-/// per-vertex offsets — so the `β`-hop Bellman–Ford explorations of Phases 1
-/// and 3.3.2 walk memory linearly; [`AugmentedGraph::neighbors`] is a slice
-/// view into it.
+/// per-vertex offsets; [`AugmentedGraph::neighbors`] is a slice view into it,
+/// and [`AugmentedGraph::to_csr`] hands the `β`-hop Bellman–Ford
+/// explorations of Phases 1 and 3.3.2 a plain [`CsrGraph`] in the same arc
+/// order.
 #[derive(Debug, Clone)]
 pub struct AugmentedGraph {
     n: usize,
@@ -148,57 +144,6 @@ impl AugmentedGraph {
             .unwrap_or_else(|_| panic!("({u}, {v}) is not an edge of G''"));
         arcs[pos].hopset_index
     }
-
-    /// Hop-bounded single-source distances `d^{(β)}_{G''}(source, ·)`, with the
-    /// predecessor (and its provenance) on the best `≤ β`-hop path.
-    ///
-    /// Returns `(dist, parent)` where `parent[v]` is `(predecessor, hopset
-    /// index of the final edge if it is a hopset edge)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range.
-    pub fn hop_bounded_from(
-        &self,
-        source: NodeId,
-        beta: usize,
-    ) -> (Vec<Dist>, Vec<HopBoundedParent>) {
-        assert!(source < self.n, "source {source} out of range");
-        let mut dist = vec![INFINITY; self.n];
-        let mut parent = vec![None; self.n];
-        dist[source] = 0;
-        // Frontier-based levelled Bellman-Ford: each sweep relaxes only the
-        // vertices whose value changed in the previous sweep, reading the
-        // value they had at the start of the sweep — no per-sweep snapshot.
-        let mut frontier: Vec<(NodeId, Dist)> = vec![(source, 0)];
-        let mut changed: Vec<NodeId> = Vec::new();
-        let mut in_changed = vec![false; self.n];
-        for _ in 0..beta {
-            if frontier.is_empty() {
-                break;
-            }
-            for &(u, du) in &frontier {
-                for nb in self.neighbors(u) {
-                    let cand = du.saturating_add(nb.weight).min(INFINITY);
-                    if cand < dist[nb.node] {
-                        dist[nb.node] = cand;
-                        parent[nb.node] = Some((u, nb.hopset_index));
-                        if !in_changed[nb.node] {
-                            in_changed[nb.node] = true;
-                            changed.push(nb.node);
-                        }
-                    }
-                }
-            }
-            frontier.clear();
-            for &v in &changed {
-                in_changed[v] = false;
-                frontier.push((v, dist[v]));
-            }
-            changed.clear();
-        }
-        (dist, parent)
-    }
 }
 
 #[cfg(test)]
@@ -206,6 +151,7 @@ mod tests {
     use super::*;
     use crate::build::{build_hopset, HopsetConfig};
     use crate::edge::HopsetEdge;
+    use en_graph::bellman_ford::hop_bounded_distances_csr;
     use en_graph::dijkstra::dijkstra;
     use en_graph::generators::{path, GeneratorConfig};
     use en_graph::Path;
@@ -216,9 +162,9 @@ mod tests {
         let aug = AugmentedGraph::new(&g, &Hopset::empty(2));
         assert_eq!(aug.num_nodes(), 5);
         assert_eq!(aug.num_hopset_edges(), 0);
-        let (dist, _) = aug.hop_bounded_from(0, 10);
+        let hb = hop_bounded_distances_csr(&aug.to_csr(), 0, 10);
         let sp = dijkstra(&g, 0);
-        assert_eq!(dist, sp.dist);
+        assert_eq!(hb.dist, sp.dist);
     }
 
     #[test]
@@ -251,7 +197,7 @@ mod tests {
         let g = path(&GeneratorConfig::new(20, 4).unweighted());
         let hopset = build_hopset(&g, &HopsetConfig::new(0.3, 0.0, 4));
         let aug = AugmentedGraph::new(&g, &hopset);
-        let (with_hopset, _) = aug.hop_bounded_from(0, 4);
+        let with_hopset = hop_bounded_distances_csr(&aug.to_csr(), 0, 4).dist;
         let plain = en_graph::bellman_ford::hop_bounded_distances(&g, 0, 4);
         // With shortcuts, at least one far vertex becomes reachable in 4 hops
         // at its exact distance.
@@ -270,10 +216,11 @@ mod tests {
         let g = path(&GeneratorConfig::new(10, 6).unweighted());
         let hopset = build_hopset(&g, &HopsetConfig::new(0.3, 0.0, 6));
         let aug = AugmentedGraph::new(&g, &hopset);
-        let (_, parent) = aug.hop_bounded_from(0, 2);
-        // Any vertex reached through a shortcut must record its hopset index.
+        let hb = hop_bounded_distances_csr(&aug.to_csr(), 0, 2);
+        // Any vertex reached through a shortcut must point at its hopset edge.
         for v in 0..10 {
-            if let Some((p, Some(idx))) = parent[v] {
+            let Some(p) = hb.parent[v] else { continue };
+            if let Some(idx) = aug.provenance(p, v) {
                 let edge = &hopset.edges()[idx];
                 assert!(
                     (edge.u == p && edge.v == v) || (edge.u == v && edge.v == p),

@@ -6,6 +6,7 @@
 //! for all pairs `u, v`,
 //! `d_G(u, v) ≤ d^{(β)}_{G ∪ F}(u, v) ≤ (1 + ε) d_G(u, v)`.
 
+use en_graph::bellman_ford::hop_bounded_distances_csr;
 use en_graph::dijkstra::all_pairs_dijkstra;
 use en_graph::{is_finite, NodeId, WeightedGraph};
 
@@ -45,13 +46,13 @@ pub fn verify_hopset(g: &WeightedGraph, hopset: &Hopset) -> HopsetReport {
 /// Verifies Definition 1 for `hopset` on `g` with an explicit hopbound `beta`.
 pub fn verify_hopset_with_beta(g: &WeightedGraph, hopset: &Hopset, beta: usize) -> HopsetReport {
     let truth = all_pairs_dijkstra(g);
-    let aug = AugmentedGraph::new(g, hopset);
+    let aug = AugmentedGraph::new(g, hopset).to_csr();
     let mut pairs_checked = 0;
     let mut lower_violations = 0;
     let mut max_ratio: f64 = 1.0;
     let mut worst_pair = None;
     for u in g.nodes() {
-        let (hop_dist, _) = aug.hop_bounded_from(u, beta);
+        let hop_dist = hop_bounded_distances_csr(&aug, u, beta).dist;
         for v in g.nodes() {
             if u == v || !is_finite(truth[u][v]) {
                 continue;

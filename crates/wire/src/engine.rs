@@ -8,12 +8,12 @@
 //! and one hop loop and are bit-identical by construction. Every
 //! [`FlatScheme`] passed [`FlatScheme::from_bytes`], so no lookup can fail
 //! and no query re-checks what validation already proved. Batches shard
-//! across plain `std::thread::scope` workers (the engine is `Sync`: a
-//! snapshot borrow plus a graph borrow), each with its own pre-sized
-//! output scratch.
+//! into parts of [`en_graph::run_parts`] (the engine is `Sync`: a snapshot
+//! borrow plus a graph borrow), each with its own pre-sized output scratch;
+//! a one-thread batch is one part, run inline.
 
 use en_graph::dijkstra::dijkstra;
-use en_graph::{Dist, NodeId, Path, WeightedGraph};
+use en_graph::{run_parts, Dist, NodeId, Path, WeightedGraph};
 use en_routing::access::{self, RouteAccess};
 use en_routing::error::RoutingError;
 use en_routing::scheme::RouteOutcome;
@@ -237,9 +237,9 @@ impl<'a> QueryEngine<'a> {
         out
     }
 
-    /// Routes a batch of pairs, sharded over `threads` scoped worker
-    /// threads, and returns per-pair outcomes in input order plus aggregate
-    /// statistics.
+    /// Routes a batch of pairs, sharded into up to `threads` parts (one
+    /// scoped worker each when there is more than one), and returns
+    /// per-pair outcomes in input order plus aggregate statistics.
     ///
     /// `exacts`, when given, must align with `pairs` and supplies the
     /// stretch denominators (the batch then never runs Dijkstra); without
@@ -266,26 +266,22 @@ impl<'a> QueryEngine<'a> {
         // `chunks(chunk)` yields at most `threads` shards and never slices
         // past the end, whatever the len/threads remainder.
         let chunk = pairs.len().div_ceil(threads).max(1);
-        let outcomes = if threads == 1 {
-            self.route_chunk(pairs, exacts)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(t, pair_slice)| {
-                        let exact_slice =
-                            exacts.map(|e| &e[t * chunk..t * chunk + pair_slice.len()]);
-                        scope.spawn(move || self.route_chunk(pair_slice, exact_slice))
-                    })
-                    .collect();
-                let mut outcomes = Vec::with_capacity(pairs.len());
-                for h in handles {
-                    outcomes.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-                }
-                outcomes
+        let parts: Vec<_> = pairs
+            .chunks(chunk)
+            .enumerate()
+            .map(|(t, pair_slice)| {
+                let exact_slice = exacts.map(|e| &e[t * chunk..t * chunk + pair_slice.len()]);
+                (pair_slice, exact_slice)
             })
-        };
+            .collect();
+        // The first part's outcomes are kept as they are (a single part is
+        // never re-collected); later parts are appended in order.
+        let mut shards = run_parts(parts, |(p, e)| self.route_chunk(p, e)).into_iter();
+        let mut outcomes = shards.next().unwrap_or_default();
+        outcomes.reserve(pairs.len() - outcomes.len());
+        for shard in shards {
+            outcomes.extend(shard);
+        }
         let stats = batch_stats(&outcomes);
         publish_batch_obs(&stats);
         BatchOutcome { outcomes, stats }

@@ -7,7 +7,7 @@
 //! ([`FlatTreeTable`], [`FlatTreeLabel`], [`FlatLocalLabel`],
 //! [`FlatU64s`]) are `Copy` slice-plus-offset handles that never allocate.
 
-use en_graph::NodeId;
+use en_graph::{run_parts, NodeId};
 use en_tree_routing::{LabelView, LocalLabelView, TableSlots, TableView};
 
 use crate::checksum::fnv1a_bytes;
@@ -586,7 +586,7 @@ impl<'a> FlatScheme<'a> {
     }
 
     /// Verifies each section's stored checksum against its bytes, sharding
-    /// the sections over `threads` scoped workers (per-section FNV is
+    /// the sections into `threads` parts of [`run_parts`] (per-section FNV is
     /// independent, so the walk parallelises without changing a single
     /// compared value). `threads == 0` picks automatically; see
     /// [`Self::from_bytes_accounted`].
@@ -611,57 +611,35 @@ impl<'a> FlatScheme<'a> {
         }
         .clamp(1, NUM_SECTIONS);
 
+        // Deterministic longest-processing-time assignment: sections sorted
+        // by word count (descending, ties by index), each placed on the
+        // least-loaded worker — balanced whatever the section size skew (the
+        // pools dwarf the CSR columns). One worker simply gets every section.
+        let mut order: Vec<usize> = (0..NUM_SECTIONS).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(section_words[i]), i));
+        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); threads];
+        let mut load = vec![0usize; threads];
+        for i in order {
+            let w = (0..threads)
+                .min_by_key(|&t| (load[t], t))
+                .expect("threads >= 1");
+            load[w] += section_words[i];
+            assignment[w].push(i);
+        }
+        let sums = run_parts(assignment, |sections| {
+            sections
+                .into_iter()
+                .map(|i| {
+                    (
+                        i,
+                        fnv1a_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]),
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
         let mut actual = [0u64; NUM_SECTIONS];
-        let per_thread_words;
-        if threads == 1 {
-            for (i, sum) in actual.iter_mut().enumerate() {
-                *sum = fnv1a_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]);
-            }
-            per_thread_words = vec![total_words];
-        } else {
-            // Deterministic longest-processing-time assignment: sections
-            // sorted by word count (descending, ties by index), each placed
-            // on the least-loaded worker — balanced whatever the section
-            // size skew (the pools dwarf the CSR columns).
-            let mut order: Vec<usize> = (0..NUM_SECTIONS).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(section_words[i]), i));
-            let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); threads];
-            let mut load = vec![0usize; threads];
-            for i in order {
-                let w = (0..threads)
-                    .min_by_key(|&t| (load[t], t))
-                    .expect("threads >= 1");
-                load[w] += section_words[i];
-                assignment[w].push(i);
-            }
-            let sums: Vec<Vec<(usize, u64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = assignment
-                    .iter()
-                    .map(|sections| {
-                        scope.spawn(move || {
-                            sections
-                                .iter()
-                                .map(|&i| {
-                                    (
-                                        i,
-                                        fnv1a_bytes(&bytes[self.secs[i] * 8..self.secs[i + 1] * 8]),
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("checksum worker cannot panic"))
-                    .collect()
-            });
-            for worker in sums {
-                for (i, sum) in worker {
-                    actual[i] = sum;
-                }
-            }
-            per_thread_words = load;
+        for (i, sum) in sums.into_iter().flatten() {
+            actual[i] = sum;
         }
 
         for (i, sec) in Section::ALL.iter().enumerate() {
@@ -676,7 +654,7 @@ impl<'a> FlatScheme<'a> {
         }
         Ok(ValidateStats {
             threads,
-            per_thread_words,
+            per_thread_words: load,
         })
     }
 

@@ -20,7 +20,7 @@
 //!   vertex's table inside a cluster is a single indexed read instead of a
 //!   binary search over the member column.
 //! * [`QueryEngine`] answers `find_tree` / `route` batches directly off the
-//!   flat columns, sharding batches over `std::thread::scope` workers.
+//!   flat columns, sharding batches through `en_graph::run_parts`.
 //!   There is no forwarding loop in this crate: the engine instantiates the
 //!   storage-generic kernel in [`en_routing::access`] — the same
 //!   `Find-tree` + hop loop the in-memory scheme runs — so outcomes are
