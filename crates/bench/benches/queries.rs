@@ -2,7 +2,7 @@
 //!
 //! Groups:
 //!
-//! * `snapshot`: serializing a built scheme and the zero-copy
+//! * `snapshot`: copying a built scheme's snapshot out and the zero-copy
 //!   `FlatScheme::from_bytes` load+validate, at n = 1000, k ∈ {2, 3}.
 //! * `queries`: batched `route` throughput off the flat columns — the
 //!   serving hot path (`find_tree` + hop-by-hop forwarding, no Dijkstra) —
@@ -74,26 +74,6 @@ fn bench_queries(c: &mut Criterion) {
             );
         }
     }
-    // The in-memory scheme on the same batch, as the serving yardstick.
-    let pairs = generate_pairs(&g, &PairWorkload::Uniform, 10_000, 7);
-    group.bench_with_input(
-        BenchmarkId::new("route_batch_in_memory", format!("n{n}_k2_t1")),
-        &pairs,
-        |b, pairs| {
-            b.iter(|| {
-                pairs
-                    .iter()
-                    .map(|&(u, v)| {
-                        built
-                            .scheme
-                            .route_with_exact(&g, u, v, 0)
-                            .expect("delivery succeeds")
-                            .length
-                    })
-                    .sum::<u64>()
-            })
-        },
-    );
     group.finish();
 }
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_routing::construction::{build_routing_scheme, ConstructionConfig};
-use en_wire::checksum::fnv1a_words;
+use en_routing::snapshot::checksum::fnv1a_words;
 use en_wire::faultsim::{
     drill_loads, header_flip_plan, offset_scramble_plan, section_flip_plan, truncation_plan,
     FaultReport,

@@ -38,10 +38,9 @@
 //! also reported as GB/s, now sharded over `validate_threads` scoped
 //! workers whose per-thread word accounting must total the serial span) —
 //! then measures batched routing throughput off the flat columns
-//! (single-threaded and sharded over scoped threads) and, on the very
-//! same pairs, the in-memory `RoutingScheme` single-threaded throughput,
-//! recording `flat_vs_inmem` (flat single-thread ÷ in-memory routes/sec;
-//! the unified-kernel goal is 1.0). Beside the uniform pairs it records
+//! (single-threaded and sharded over scoped threads). The scheme has one
+//! representation, the snapshot, so there is no second routing path to
+//! compare against. Beside the uniform pairs it records
 //! the single-thread throughput of the Zipf-hotspot workload (exponent
 //! 1.2, both endpoints skewed). All of it is written to
 //! `BENCH_queries.json` together with the snapshot size and the host's
@@ -365,21 +364,8 @@ fn main() {
                     .stats
                     .delivered
             });
-            // The same pairs through the in-memory scheme, single-threaded
-            // and with the same exact=0 shortcut, so `flat_vs_inmem` is the
-            // flat columns against the owned structures with the identical
-            // forwarding kernel on both sides.
-            let (inmem_ms, inmem_delivered) = best_of(kernel_runs, || {
-                pairs
-                    .iter()
-                    .filter(|&&(u, v)| built.scheme.route_with_exact(&g, u, v, 0).is_ok())
-                    .count()
-            });
-            assert_eq!(inmem_delivered, pairs.len(), "all pairs must deliver");
             let single_rps = pairs.len() as f64 / (single_ms / 1e3);
             let multi_rps = pairs.len() as f64 / (multi_ms / 1e3);
-            let inmem_rps = pairs.len() as f64 / (inmem_ms / 1e3);
-            let flat_vs_inmem = single_rps / inmem_rps;
             // The observability tax, measured on the very same uniform
             // single-thread batch. No-op: nothing installed (unless the
             // whole run carries --obs-out), so the gate branch-predicts
@@ -439,8 +425,7 @@ fn main() {
                  ({validate_gbps:.2} GB/s, {validate_threads} threads), \
                  {} pairs: single {single_ms:.3} ms \
                  ({single_rps:.0} routes/s), {QUERY_THREADS} threads {multi_ms:.3} ms \
-                 ({multi_rps:.0} routes/s, {:.2}x), in-memory {inmem_ms:.3} ms \
-                 ({inmem_rps:.0} routes/s, flat/inmem {flat_vs_inmem:.2})",
+                 ({multi_rps:.0} routes/s, {:.2}x)",
                 bytes.len(),
                 bytes.len() as f64 / n as f64,
                 read_ms * 1e3,
@@ -473,9 +458,6 @@ fn main() {
                  \"multi_thread_ms\": {multi_ms:.3}, \
                  \"multi_routes_per_sec\": {multi_rps:.0}, \
                  \"multi_vs_single\": {:.2}, \
-                 \"inmem_thread_ms\": {inmem_ms:.3}, \
-                 \"inmem_routes_per_sec\": {inmem_rps:.0}, \
-                 \"flat_vs_inmem\": {flat_vs_inmem:.2}, \
                  \"zipf_exponent\": {zipf_exponent}, \
                  \"zipf_routes_per_sec\": {zipf_rps:.0}, \
                  \"obs_noop_overhead\": {obs_noop_overhead:.3}, \
@@ -585,7 +567,7 @@ fn main() {
         return;
     }
     let queries_json = format!(
-        "{{\n  \"schema\": \"en-bench/queries-v5\",\n  \"workload\": \
+        "{{\n  \"schema\": \"en-bench/queries-v6\",\n  \"workload\": \
          \"uniform + zipf(1.2) pairs over erdos-renyi avg-degree 8, \
          weights 1..=100, seed 42\",\n  \
          \"host_cpus\": {host_cpus},\n  \"multi_threads\": {QUERY_THREADS},\n  \

@@ -1,65 +1,25 @@
-//! The storage-generic forwarding kernel: one `Find-tree` + one hop loop
-//! shared by every representation of a routing scheme.
+//! The forwarding kernel: one `Find-tree` and one hop loop over the
+//! validated snapshot.
 //!
 //! The paper's forwarding decision is a pure function of `from`'s table and
-//! `to`'s label, whatever those are stored in. [`next_hop_view`] already
-//! makes the *per-hop step* storage-generic; this module does the same for
-//! the *query*: [`RouteAccess`] abstracts the handful of lookups a query
-//! needs (the `4k−5` own-cluster refinement, the destination's level-ordered
-//! label entries, tree membership, and per-tree table resolution), and
-//! [`find_tree_via`] / [`forward_via`] run Algorithm 1 and the forwarding
-//! loop over any implementation.
+//! `to`'s label. Both live in the snapshot columns of a [`FlatScheme`]: the
+//! `4k−5` own-cluster entries and the tree list of `from`, and the
+//! level-ordered label entries of `to`. [`find_tree_via`] runs Algorithm 1
+//! over them, and [`forward_via`] then steps hop by hop with
+//! [`next_hop_view`], reading one table record per hop through the v3 rank
+//! index. Tree labels are records of the snapshot's label pool, each written
+//! once and shared by offset between a member's own label entry and its
+//! level-0 centre's own-cluster table, so the header label a packet carries
+//! is a borrowed view, never a copy.
 //!
-//! Two accessors instantiate the kernel: the in-memory
-//! [`RoutingScheme`](crate::scheme::RoutingScheme) (via `&RoutingScheme`),
-//! and — in `en_wire` — the validated flat snapshot. Because both share
-//! this single loop, their outcomes are bit-identical by construction, not
-//! by convention.
+//! [`RoutingScheme`](crate::scheme::RoutingScheme) and `en_wire`'s query
+//! engine both route through these two functions.
 
 use en_graph::{NodeId, Path};
-use en_tree_routing::{next_hop_view, scheme::TreeRoutingError, LabelView, TableView};
+use en_tree_routing::{next_hop_view, scheme::TreeRoutingError};
 
 use crate::error::RoutingError;
-
-/// Storage-generic access to one routing scheme, as consumed by the
-/// forwarding kernel.
-///
-/// Implementors are cheap `Copy` handles over storage that is consistent by
-/// construction (an in-memory scheme, or a snapshot that passed load-time
-/// validation), so no lookup can fail: every method returns a plain value,
-/// and the kernel's own errors are the only ones a query can report.
-pub trait RouteAccess: Copy {
-    /// The packet-header label view forwarding consumes.
-    type Label: LabelView;
-    /// The per-vertex table view forwarding consumes.
-    type Table: TableView;
-    /// A resolved handle to one cluster tree.
-    type Tree: Copy;
-
-    /// Number of host vertices.
-    fn n(&self) -> usize;
-
-    /// The `4k−5` refinement lookup: `member`'s label in `center`'s own
-    /// cluster, if `center` is a level-0 centre storing it.
-    fn own_label(&self, center: NodeId, member: NodeId) -> Option<Self::Label>;
-
-    /// Number of label entries `to` carries (its per-level pivots).
-    fn label_entry_count(&self, to: NodeId) -> usize;
-
-    /// `to`'s `i`-th label entry, in ascending level order: the pivot, and
-    /// `to`'s tree label in the pivot's tree when `to` belongs to it.
-    fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<Self::Label>);
-
-    /// Whether `v` belongs to the cluster tree rooted at `root` (answered
-    /// from `v`'s own table, as a real node would).
-    fn in_tree(&self, v: NodeId, root: NodeId) -> bool;
-
-    /// Resolves the cluster tree rooted at `root`, with its hierarchy level.
-    fn tree(&self, root: NodeId) -> Option<(Self::Tree, usize)>;
-
-    /// The routing table of `v` inside `tree`, if `v` is a member.
-    fn table(&self, tree: &Self::Tree, v: NodeId) -> Option<Self::Table>;
-}
+use crate::snapshot::{FlatScheme, FlatTreeLabel};
 
 fn check_node(n: usize, v: NodeId) -> Result<(), RoutingError> {
     if v < n {
@@ -69,33 +29,33 @@ fn check_node(n: usize, v: NodeId) -> Result<(), RoutingError> {
     }
 }
 
-/// Algorithm 1 (`Find-tree`) plus the \[TZ01\] `4k−5` refinement, over any
-/// [`RouteAccess`]: the centre of the tree a packet from `from` to `to` will
-/// use, and the destination's tree label there.
+/// Algorithm 1 (`Find-tree`) plus the \[TZ01\] `4k−5` refinement: the
+/// centre of the tree a packet from `from` to `to` will use, and the
+/// destination's tree label there.
 ///
 /// # Errors
 ///
 /// Out-of-range vertices and the (low-probability) no-common-tree case.
-pub fn find_tree_via<A: RouteAccess>(
-    access: &A,
+pub fn find_tree_via<'a>(
+    flat: &FlatScheme<'a>,
     from: NodeId,
     to: NodeId,
-) -> Result<(NodeId, A::Label), RoutingError> {
-    check_node(access.n(), from)?;
-    check_node(access.n(), to)?;
+) -> Result<(NodeId, FlatTreeLabel<'a>), RoutingError> {
+    check_node(flat.n(), from)?;
+    check_node(flat.n(), to)?;
     // The 4k−5 refinement: `from` is a level-0 centre storing `to`'s label
     // in its own-cluster table.
-    if let Some(label) = access.own_label(from, to) {
+    if let Some(label) = flat.own_label(from, to) {
         return Ok((from, label));
     }
     // Level scan: entries are stored in ascending level order.
-    for i in 0..access.label_entry_count(to) {
-        let (pivot, tree_label) = access.label_entry(to, i);
-        let Some(tree_label) = tree_label else {
+    let trees = flat.trees_of(from);
+    for entry in flat.label_entries_of(to) {
+        let Some(tree_label) = entry.tree_label else {
             continue; // `to` itself is not in this pivot's tree.
         };
-        if access.in_tree(from, pivot) {
-            return Ok((pivot, tree_label));
+        if trees.binary_search(entry.pivot as u64).is_ok() {
+            return Ok((entry.pivot, tree_label));
         }
     }
     Err(RoutingError::NoCommonTree { from, to })
@@ -109,27 +69,27 @@ pub fn find_tree_via<A: RouteAccess>(
 /// # Errors
 ///
 /// Everything [`find_tree_via`] reports, plus a vertex falling out of the
-/// tree mid-route and a hop budget overrun (both impossible on a consistent
-/// scheme).
-pub fn forward_via<A: RouteAccess>(
-    access: &A,
+/// tree mid-route and a hop budget overrun (both impossible on a validated
+/// snapshot).
+pub fn forward_via(
+    flat: &FlatScheme<'_>,
     from: NodeId,
     to: NodeId,
 ) -> Result<(NodeId, usize, Path), RoutingError> {
-    let (root, header_label) = find_tree_via(access, from, to)?;
-    let (tree, level) = access
-        .tree(root)
+    let (root, header_label) = find_tree_via(flat, from, to)?;
+    let tree = flat
+        .cluster_of_center(root)
         .ok_or_else(|| RoutingError::TreeRouting(format!("no cluster for centre {root}")))?;
     // Tree routes are short (≤ 2·depth of a cluster tree); reserve enough
     // that typical routes never reallocate mid-loop.
     let mut path = Path::trivial_with_capacity(from, 16);
     let mut current = from;
-    for _ in 0..=access.n() {
-        let table = access
-            .table(&tree, current)
+    for _ in 0..=flat.n() {
+        let table = tree
+            .table_of(current)
             .ok_or(TreeRoutingError::NotInTree { vertex: current })?;
         match next_hop_view(table, header_label)? {
-            None => return Ok((root, level, path)),
+            None => return Ok((root, tree.level, path)),
             Some(next) => {
                 path.push(next);
                 current = next;

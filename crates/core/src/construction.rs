@@ -70,7 +70,7 @@ pub struct BuiltScheme {
     pub params: SchemeParams,
     /// The cluster family (hierarchy, clusters, pivots).
     pub family: ClusterFamily,
-    /// The assembled routing scheme (tables, labels, per-tree schemes).
+    /// The assembled routing scheme: its validated v3 snapshot.
     pub scheme: RoutingScheme,
     /// The distance-estimation sketches.
     pub sketches: DistanceEstimation,

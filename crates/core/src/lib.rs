@@ -30,9 +30,12 @@
 //!   shared by the exact and approximate constructions.
 //! * [`scheme`] — Section 4: assembling per-vertex routing tables and labels,
 //!   Algorithm 1 (`Find-tree`), and hop-by-hop packet forwarding.
-//! * [`access`] — the storage-generic forwarding kernel: one `Find-tree` +
-//!   one hop loop shared by the in-memory scheme and the flat snapshot's
-//!   fast/checked accessors (in `en_wire`), bit-identical by construction.
+//! * [`snapshot`] — the scheme's one representation: the checksummed v3
+//!   snapshot that assembly writes and every query reads, with its
+//!   load-time validator.
+//! * [`access`] — the forwarding kernel: one `Find-tree` and one hop loop
+//!   over the snapshot columns, shared by [`RoutingScheme`] and `en_wire`'s
+//!   query engine.
 //! * [`distance_estimation`] — Section 5: sketches and Algorithm 2 (`Dist`).
 //! * [`construction`] — the end-to-end distributed construction with its
 //!   round ledger (Theorems 4 and 5).
@@ -71,6 +74,7 @@ pub mod params;
 pub mod pivots;
 pub mod preprocess;
 pub mod scheme;
+pub mod snapshot;
 pub mod stretch;
 
 pub use construction::{

@@ -16,97 +16,21 @@
 //! The `4k−5` refinement of \[TZ01\] is implemented as well: every centre
 //! `u ∈ A_0 \ A_1` stores the tree labels of all members of its own cluster,
 //! so packets *from* `u` to a member of `C̃(u)` are routed directly in `C̃(u)`.
-
-use std::ops::Range;
-use std::sync::Arc;
+//!
+//! The scheme has one representation: the validated v3 snapshot of
+//! [`crate::snapshot`]. Assembly writes each cluster's table and label
+//! records as soon as that cluster's tree scheme is built, and routing reads
+//! the snapshot columns through the one forwarding kernel in
+//! [`crate::access`].
 
 use en_graph::dijkstra::dijkstra;
-use en_graph::{
-    run_parts, shard_spans, BuildOptions, BuildStats, Dist, NodeId, NodeMap, Path, WeightedGraph,
-};
-use en_tree_routing::{
-    TableSlots, TreeLabel, TreeLabelRef, TreeRoutingConfig, TreeRoutingScheme, TreeTable,
-};
+use en_graph::{BuildOptions, BuildStats, Dist, NodeId, Path, WeightedGraph};
 
-use crate::access::{self, RouteAccess};
+use crate::access;
 use crate::error::RoutingError;
 use crate::family::ClusterFamily;
-
-/// One entry of a vertex label: the pivot at some level and, if the vertex
-/// belongs to that pivot's cluster tree, its tree label there.
-///
-/// The tree label is the *same allocation* the per-tree scheme built (and,
-/// for level-0 members, the same one the centre's own-cluster table holds):
-/// labels are `Arc`-pooled, so assembling a scheme never deep-copies an
-/// exception vector.
-#[derive(Debug, Clone)]
-pub struct LabelEntry {
-    /// The level `i`.
-    pub level: usize,
-    /// The (approximate) `i`-pivot `ẑ_i(v)`.
-    pub pivot: NodeId,
-    /// The (approximate) distance `d̂_i(v)`.
-    pub dist: Dist,
-    /// The tree label of `v` in `C̃(ẑ_i(v))`, if `v` belongs to it.
-    pub tree_label: Option<Arc<TreeLabel>>,
-}
-
-impl LabelEntry {
-    /// Size in `O(log n)` words.
-    pub fn words(&self) -> usize {
-        3 + self.tree_label.as_ref().map_or(0, |l| l.words())
-    }
-}
-
-/// The complete label of a vertex: one entry per level (missing levels — empty
-/// `A_i` — are skipped).
-#[derive(Debug, Clone)]
-pub struct NodeLabel {
-    /// The labelled vertex.
-    pub vertex: NodeId,
-    /// Entries for the levels `0 ≤ i < k` that have a pivot.
-    pub entries: Vec<LabelEntry>,
-}
-
-impl NodeLabel {
-    /// The entry for level `i`, if present.
-    pub fn entry(&self, level: usize) -> Option<&LabelEntry> {
-        self.entries.iter().find(|e| e.level == level)
-    }
-
-    /// Size in `O(log n)` words.
-    pub fn words(&self) -> usize {
-        1 + self.entries.iter().map(LabelEntry::words).sum::<usize>()
-    }
-}
-
-/// The routing table of a vertex.
-#[derive(Debug, Clone, Default)]
-pub struct NodeTable {
-    /// Tree tables for every cluster tree containing this vertex, keyed by the
-    /// tree's centre. (The word size is measured through the underlying
-    /// [`TreeRoutingScheme`]; only membership is recorded here.)
-    pub trees: Vec<NodeId>,
-    /// The \[TZ01\] `4k−5` refinement: if this vertex is a level-0 centre, the
-    /// tree labels of every member of its own cluster (shared, via `Arc`,
-    /// with the members' [`LabelEntry::tree_label`]s and the tree scheme).
-    pub own_cluster_labels: NodeMap<Arc<TreeLabel>>,
-}
-
-/// The assembled routing scheme.
-#[derive(Debug, Clone)]
-pub struct RoutingScheme {
-    k: usize,
-    n: usize,
-    /// Per-centre tree routing schemes.
-    tree_schemes: NodeMap<TreeRoutingScheme>,
-    /// Per-vertex tables.
-    tables: Vec<NodeTable>,
-    /// Per-vertex labels.
-    labels: Vec<NodeLabel>,
-    /// The level of each centre (used for reporting).
-    center_level: NodeMap<usize>,
-}
+pub use crate::snapshot::RoutingScheme;
+use crate::snapshot::{self, FlatTreeLabel};
 
 /// The outcome of routing one packet.
 #[derive(Debug, Clone)]
@@ -129,372 +53,91 @@ impl RoutingScheme {
     /// Assembles the routing scheme from a cluster family, also returning
     /// the per-thread work accounting.
     ///
-    /// `tree_seed` seeds the portal sampling of the per-tree schemes.
-    ///
-    /// The per-tree schemes are built zero-copy from the family's forest
-    /// slices (each costs `O(|C|)` working memory, not `O(n)`), and the
-    /// per-vertex tables — including the \[TZ01\] `4k−5` refinement's member
-    /// labels at level-0 centres — are filled in a single sweep of the
-    /// forest's inverted membership CSR instead of one `members()` loop per
-    /// cluster.
-    ///
-    /// Two phases shard into up to `opts.threads` parts of
-    /// [`en_graph::run_parts`]: the per-tree scheme builds (contiguous
-    /// cluster-id spans — each tree's portal sampling is seeded from its own
-    /// centre, so the processing order is immaterial) and the per-vertex
-    /// table/label sweep (contiguous vertex spans). Per-part outputs are
-    /// concatenated in span order, so the assembled scheme is bit-identical
-    /// for every thread count.
+    /// `tree_seed` seeds the portal sampling of the per-tree schemes. Every
+    /// cluster's tree scheme is built zero-copy from its forest slice, its
+    /// table and label records are written into the snapshot's columns, and
+    /// it is dropped. The cluster builds and the per-vertex sweep each shard
+    /// into up to `opts.threads` parts of [`en_graph::run_parts`],
+    /// concatenated in span order, so the bytes are identical for every
+    /// thread count. The result is validated like any loaded snapshot.
     pub fn assemble(
         family: &ClusterFamily,
         tree_seed: u64,
         opts: &BuildOptions,
     ) -> (Self, BuildStats) {
-        let n = family.n();
-        let k = family.k();
-        let forest = &family.forest;
-        let num_clusters = forest.num_clusters();
-        let mut stats = BuildStats::default();
-        // Phase A: per-tree schemes, sharded over contiguous cluster-id
-        // spans and concatenated back in span (= dense id) order.
-        let build_trees = |span: Range<usize>| -> (Vec<TreeRoutingScheme>, usize) {
-            let mut members = 0usize;
-            let schemes = span
-                .map(|id| {
-                    let cluster = forest.cluster(id);
-                    members += cluster.len();
-                    let config = TreeRoutingConfig::new(
-                        tree_seed ^ (cluster.center() as u64).wrapping_mul(0x9E37_79B9),
-                    );
-                    TreeRoutingScheme::build(&cluster, &config)
-                })
-                .collect();
-            (schemes, members)
-        };
-        let tree_spans = shard_spans(num_clusters, opts.threads, 1);
-        let mut schemes_by_id = Vec::with_capacity(num_clusters);
-        let mut tree_stats = BuildStats::default();
-        for (span, (schemes, members)) in tree_spans
-            .iter()
-            .zip(run_parts(tree_spans.clone(), build_trees))
-        {
-            tree_stats.record(span.len(), members);
-            schemes_by_id.extend(schemes);
-        }
-        stats.absorb(&tree_stats);
-        // Per-cluster data addressable by dense id during the sweeps below.
-        let mut center_level = NodeMap::default();
-        center_level.reserve(num_clusters);
-        let mut centers = Vec::with_capacity(num_clusters);
-        let mut is_level0 = Vec::with_capacity(num_clusters);
-        for cluster in forest.clusters() {
-            centers.push(cluster.center());
-            is_level0.push(cluster.level() == 0);
-            center_level.insert(cluster.center(), cluster.level());
-        }
-        // Centre-keyed scheme lookup for the label sweep (the map itself is
-        // only moved into the result after `schemes_by_id` is done serving
-        // the own-cluster fill, so the sweep reads through dense ids).
-        let mut id_of_center = NodeMap::default();
-        id_of_center.reserve(num_clusters);
-        for (id, &center) in centers.iter().enumerate() {
-            id_of_center.insert(center, id);
-        }
-        // Phase B: the per-vertex sweep — tree memberships (sorted by
-        // centre) and pivot label entries — sharded over contiguous vertex
-        // spans. Workers only read the forest CSR and the finished schemes;
-        // outputs land at fixed per-vertex slots.
-        let schemes_ref = &schemes_by_id;
-        let centers_ref = &centers;
-        let id_of_center_ref = &id_of_center;
-        let sweep = |span: Range<usize>| -> (Vec<(Vec<NodeId>, NodeLabel)>, usize) {
-            let mut produced = 0usize;
-            let rows = span
-                .map(|v| {
-                    let mut trees = Vec::with_capacity(forest.overlap_of(v));
-                    for (id, _) in forest.membership(v) {
-                        trees.push(centers_ref[id]);
-                    }
-                    trees.sort_unstable();
-                    let mut entries = Vec::new();
-                    for i in 0..k {
-                        if let Some((pivot, dist)) = family.pivots[v][i] {
-                            let tree_label = id_of_center_ref
-                                .get(&pivot)
-                                .and_then(|&id| schemes_ref[id].label_arc(v))
-                                .cloned();
-                            entries.push(LabelEntry {
-                                level: i,
-                                pivot,
-                                dist,
-                                tree_label,
-                            });
-                        }
-                    }
-                    produced += trees.len() + entries.len();
-                    (trees, NodeLabel { vertex: v, entries })
-                })
-                .collect();
-            (rows, produced)
-        };
-        let vertex_spans = shard_spans(n, opts.threads, 1);
-        let mut tables: Vec<NodeTable> = (0..n).map(|_| NodeTable::default()).collect();
-        let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
-        let mut sweep_stats = BuildStats::default();
-        for (span, (rows, produced)) in vertex_spans
-            .iter()
-            .zip(run_parts(vertex_spans.clone(), sweep))
-        {
-            sweep_stats.record(span.len(), produced);
-            for (j, (trees, label)) in rows.into_iter().enumerate() {
-                tables[span.start + j].trees = trees;
-                labels.push(label);
-            }
-        }
-        stats.absorb(&sweep_stats);
-        // The [TZ01] 4k−5 refinement: every level-0 centre stores the tree
-        // labels of its own cluster's members. The fill walks the member
-        // slice, whose positions index the scheme's labels directly; each
-        // insert shares the scheme's allocation (Arc bump).
-        for (id, scheme) in schemes_by_id.iter().enumerate() {
-            if !is_level0[id] {
-                continue;
-            }
-            let cluster = forest.cluster(id);
-            let own = &mut tables[centers[id]].own_cluster_labels;
-            own.reserve(cluster.len());
-            for (pos, v) in cluster.members().enumerate() {
-                let label = scheme
-                    .label_arc_by_index(pos)
-                    .expect("member position is within the tree scheme");
-                debug_assert_eq!(label.vertex, v);
-                own.insert(v, Arc::clone(label));
-            }
-        }
-        let mut tree_schemes = NodeMap::default();
-        tree_schemes.reserve(num_clusters);
-        for (center, scheme) in centers.iter().zip(schemes_by_id) {
-            tree_schemes.insert(*center, scheme);
-        }
-        let scheme = RoutingScheme {
-            k,
-            n,
-            tree_schemes,
-            tables,
-            labels,
-            center_level,
-        };
+        let (bytes, stats) = snapshot::encode(family, tree_seed, opts);
+        let scheme = RoutingScheme::validated(bytes, opts.threads)
+            .expect("assembly writes a valid snapshot");
         (scheme, stats)
     }
+}
 
-    /// The pre-forest reference assembly, retained as the oracle the property
-    /// suite compares [`Self::assemble`] against (the same pattern as the
-    /// per-centre cluster-growth oracle): every cluster is first materialised
-    /// as a dense host-sized [`RootedTree`](en_graph::tree::RootedTree) via
-    /// [`en_graph::forest::ClusterView::tree`], per-tree schemes are built
-    /// from those trees, and tables are filled by one `members()` loop per
-    /// cluster. Same inputs must yield bit-identical routing behaviour.
-    pub fn assemble_reference(family: &ClusterFamily, tree_seed: u64) -> Self {
-        let n = family.n();
-        let k = family.k();
-        let mut tree_schemes = NodeMap::default();
-        tree_schemes.reserve(family.num_clusters());
-        let mut center_level = NodeMap::default();
-        center_level.reserve(family.num_clusters());
-        for cluster in family.clusters() {
-            let center = cluster.center();
-            let config =
-                TreeRoutingConfig::new(tree_seed ^ (center as u64).wrapping_mul(0x9E37_79B9));
-            let tree = cluster.tree();
-            tree_schemes.insert(center, TreeRoutingScheme::build(&tree, &config));
-            center_level.insert(center, cluster.level());
-        }
-        // Tables: which trees contain each vertex.
-        let mut tables: Vec<NodeTable> = (0..n).map(|_| NodeTable::default()).collect();
-        for (&center, scheme) in &tree_schemes {
-            for v in scheme.members() {
-                tables[v].trees.push(center);
-            }
-        }
-        for table in &mut tables {
-            table.trees.sort_unstable();
-        }
-        // Labels: pivot entries per level.
-        let mut labels: Vec<NodeLabel> = Vec::with_capacity(n);
-        for v in 0..n {
-            let mut entries = Vec::new();
-            for i in 0..k {
-                if let Some((pivot, dist)) = family.pivots[v][i] {
-                    let tree_label = tree_schemes
-                        .get(&pivot)
-                        .and_then(|s| s.label_arc(v))
-                        .cloned();
-                    entries.push(LabelEntry {
-                        level: i,
-                        pivot,
-                        dist,
-                        tree_label,
-                    });
-                }
-            }
-            labels.push(NodeLabel { vertex: v, entries });
-        }
-        // The 4k−5 refinement: level-0 centres store their members' labels.
-        for cluster in family.clusters() {
-            if cluster.level() != 0 {
-                continue;
-            }
-            let center = cluster.center();
-            let scheme = &tree_schemes[&center];
-            let mut own = NodeMap::default();
-            for v in scheme.members() {
-                if let Some(label) = scheme.label_arc(v) {
-                    own.insert(v, Arc::clone(label));
-                }
-            }
-            tables[center].own_cluster_labels = own;
-        }
-        RoutingScheme {
-            k,
-            n,
-            tree_schemes,
-            tables,
-            labels,
-            center_level,
-        }
-    }
-
+impl<B: AsRef<[u8]>> RoutingScheme<B> {
     /// The parameter `k`.
     pub fn k(&self) -> usize {
-        self.k
+        self.flat().k()
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.n
+        self.flat().n()
     }
 
-    /// The label of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn label(&self, v: NodeId) -> &NodeLabel {
-        &self.labels[v]
-    }
-
-    /// The routing table of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn table(&self, v: NodeId) -> &NodeTable {
-        &self.tables[v]
-    }
-
-    /// The number of cluster trees containing `v`.
+    /// The number of cluster trees containing `v` (0 for an id outside the
+    /// scheme).
     pub fn trees_containing(&self, v: NodeId) -> usize {
-        self.tables[v].trees.len()
+        self.flat().trees_of(v).len()
     }
 
-    /// All cluster centres with a tree scheme, in ascending id order (the
-    /// deterministic cluster order of the wire snapshot).
-    pub fn centers(&self) -> Vec<NodeId> {
-        let mut centers: Vec<NodeId> = self.tree_schemes.keys().copied().collect();
-        centers.sort_unstable();
-        centers
-    }
-
-    /// The per-tree routing scheme rooted at `center`, if any.
-    pub fn tree_scheme(&self, center: NodeId) -> Option<&TreeRoutingScheme> {
-        self.tree_schemes.get(&center)
-    }
-
-    /// The hierarchy level of `center`, if it roots a cluster tree.
-    pub fn center_level(&self, center: NodeId) -> Option<usize> {
-        self.center_level.get(&center).copied()
-    }
-
-    /// Size of `v`'s routing table in `O(log n)` words: the sum of its tree
-    /// tables plus (for level-0 centres) the stored member labels.
-    pub fn table_words(&self, v: NodeId) -> usize {
-        let tree_words: usize = self.tables[v]
-            .trees
-            .iter()
-            .map(|center| self.tree_schemes[center].table_words(v))
-            .sum();
-        let own_words: usize = self.tables[v]
-            .own_cluster_labels
-            .values()
-            .map(|l| 1 + l.words())
-            .sum();
-        tree_words + own_words
-    }
-
-    /// Size of `v`'s label in `O(log n)` words.
-    pub fn label_words(&self, v: NodeId) -> usize {
-        self.labels[v].words()
-    }
-
-    /// Maximum table size over all vertices, in words.
+    /// Maximum table size over all vertices, in words: the sum of a
+    /// vertex's tree tables plus, at level-0 centres, the stored member
+    /// labels.
     pub fn max_table_words(&self) -> usize {
-        (0..self.n).map(|v| self.table_words(v)).max().unwrap_or(0)
+        self.flat().max_table_words()
     }
 
     /// Average table size over all vertices, in words.
     pub fn avg_table_words(&self) -> f64 {
-        if self.n == 0 {
+        let flat = self.flat();
+        if flat.n() == 0 {
             return 0.0;
         }
-        (0..self.n).map(|v| self.table_words(v)).sum::<usize>() as f64 / self.n as f64
+        flat.total_table_words() as f64 / flat.n() as f64
     }
 
     /// Maximum label size over all vertices, in words.
     pub fn max_label_words(&self) -> usize {
-        (0..self.n).map(|v| self.label_words(v)).max().unwrap_or(0)
+        self.flat().max_label_words()
     }
 
     /// Average label size over all vertices, in words.
     pub fn avg_label_words(&self) -> f64 {
-        if self.n == 0 {
+        let flat = self.flat();
+        if flat.n() == 0 {
             return 0.0;
         }
-        (0..self.n).map(|v| self.label_words(v)).sum::<usize>() as f64 / self.n as f64
+        flat.total_label_words() as f64 / flat.n() as f64
     }
 
-    /// Algorithm 1 (`Find-tree`) plus the \[TZ01\] `4k−5` refinement: returns
-    /// the centre of the tree the packet from `from` to `to` will use, and the
-    /// destination's tree label there — using only `from`'s table and `to`'s
-    /// label, exactly as a real node would.
+    /// Algorithm 1 (`Find-tree`) plus the \[TZ01\] `4k−5` refinement:
+    /// returns the centre of the tree the packet from `from` to `to` will
+    /// use, and the destination's tree label there — using only `from`'s
+    /// table and `to`'s label, exactly as a real node would
+    /// ([`access::find_tree_via`]).
     ///
-    /// The scan itself is the storage-generic
-    /// [`find_tree_via`](crate::access::find_tree_via) kernel; this wrapper
-    /// only re-resolves the chosen label as a shared handle into the
-    /// scheme's pooled label storage (an `Arc` bump, not a deep copy of the
-    /// exception vectors).
+    /// # Errors
+    ///
+    /// Out-of-range vertices and the (low-probability) no-common-tree case.
     pub fn find_tree(
         &self,
         from: NodeId,
         to: NodeId,
-    ) -> Result<(NodeId, Arc<TreeLabel>), RoutingError> {
-        let (root, _) = access::find_tree_via(&self, from, to)?;
-        // The kernel checks the own-cluster refinement first, so when the
-        // entry exists it is exactly the hit the kernel returned.
-        if let Some(label) = self.tables[from].own_cluster_labels.get(&to) {
-            return Ok((from, Arc::clone(label)));
-        }
-        let label = self.labels[to]
-            .entries
-            .iter()
-            .find(|e| e.pivot == root && e.tree_label.is_some())
-            .and_then(|e| e.tree_label.as_ref())
-            .expect("the kernel's pivot comes from one of to's label entries");
-        Ok((root, Arc::clone(label)))
+    ) -> Result<(NodeId, FlatTreeLabel<'_>), RoutingError> {
+        access::find_tree_via(&self.flat(), from, to)
     }
 
     /// Routes a packet from `from` to `to`, forwarding hop by hop through the
-    /// chosen cluster tree (the shared
-    /// [`forward_via`](crate::access::forward_via) kernel), and measures the
+    /// chosen cluster tree ([`access::forward_via`]), and measures the
     /// stretch against the exact shortest-path distance in `g`.
     ///
     /// # Errors
@@ -507,14 +150,18 @@ impl RoutingScheme {
         from: NodeId,
         to: NodeId,
     ) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) = access::forward_via(&self, from, to)?;
+        let (root, level, path) = access::forward_via(&self.flat(), from, to)?;
         let exact = dijkstra(g, from).dist[to];
-        Ok(Self::outcome(g, root, level, path, exact))
+        Ok(RouteOutcome::new(g, root, level, path, exact))
     }
 
-    /// Routes between the endpoints using a precomputed all-pairs distance
-    /// matrix for the stretch denominator (used by the benchmark harness to
-    /// avoid re-running Dijkstra per query).
+    /// Routes between the endpoints using a caller-supplied exact distance
+    /// for the stretch denominator (used by the benchmark harness to avoid
+    /// re-running Dijkstra per query).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::route`].
     pub fn route_with_exact(
         &self,
         g: &WeightedGraph,
@@ -522,17 +169,15 @@ impl RoutingScheme {
         to: NodeId,
         exact: Dist,
     ) -> Result<RouteOutcome, RoutingError> {
-        let (root, level, path) = access::forward_via(&self, from, to)?;
-        Ok(Self::outcome(g, root, level, path, exact))
+        let (root, level, path) = access::forward_via(&self.flat(), from, to)?;
+        Ok(RouteOutcome::new(g, root, level, path, exact))
     }
+}
 
-    fn outcome(
-        g: &WeightedGraph,
-        root: NodeId,
-        level: usize,
-        path: Path,
-        exact: Dist,
-    ) -> RouteOutcome {
+impl RouteOutcome {
+    /// Weighs `path` in `g` and fills in the stretch against `exact` (1.0
+    /// when the endpoints coincide or no exact distance was given).
+    pub fn new(g: &WeightedGraph, root: NodeId, level: usize, path: Path, exact: Dist) -> Self {
         let length = path.length_in(g).unwrap_or(0);
         let stretch = if exact == 0 {
             1.0
@@ -547,59 +192,6 @@ impl RoutingScheme {
             exact,
             stretch,
         }
-    }
-}
-
-/// The in-memory instantiation of the forwarding kernel: lookups go through
-/// the owned tables, labels, and per-centre tree schemes; none of them can
-/// fail beyond the kernel's own range checks.
-impl<'a> RouteAccess for &'a RoutingScheme {
-    type Label = TreeLabelRef<'a>;
-    type Table = &'a TreeTable;
-    type Tree = &'a TreeRoutingScheme;
-
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn own_label(&self, center: NodeId, member: NodeId) -> Option<TreeLabelRef<'a>> {
-        let this: &'a RoutingScheme = self;
-        this.tables[center]
-            .own_cluster_labels
-            .get(&member)
-            .map(|l| l.as_view())
-    }
-
-    #[inline]
-    fn label_entry_count(&self, to: NodeId) -> usize {
-        self.labels[to].entries.len()
-    }
-
-    #[inline]
-    fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<TreeLabelRef<'a>>) {
-        let this: &'a RoutingScheme = self;
-        let entry = &this.labels[to].entries[i];
-        (entry.pivot, entry.tree_label.as_ref().map(|l| l.as_view()))
-    }
-
-    #[inline]
-    fn in_tree(&self, v: NodeId, root: NodeId) -> bool {
-        self.tables[v].trees.binary_search(&root).is_ok()
-    }
-
-    #[inline]
-    fn tree(&self, root: NodeId) -> Option<(&'a TreeRoutingScheme, usize)> {
-        let this: &'a RoutingScheme = self;
-        this.tree_schemes
-            .get(&root)
-            .map(|ts| (ts, this.center_level.get(&root).copied().unwrap_or(0)))
-    }
-
-    #[inline]
-    fn table(&self, tree: &&'a TreeRoutingScheme, v: NodeId) -> Option<&'a TreeTable> {
-        tree.table_of(v)
     }
 }
 
@@ -673,8 +265,10 @@ mod tests {
                 }
                 let (root, label) = scheme.find_tree(u, v).unwrap();
                 // The chosen tree really does contain both endpoints.
-                assert!(scheme.tables[u].trees.binary_search(&root).is_ok() || root == u);
-                assert_eq!(label.vertex, v);
+                let flat = scheme.flat();
+                assert!(flat.trees_of(u).binary_search(root as u64).is_ok() || root == u);
+                assert!(flat.trees_of(v).binary_search(root as u64).is_ok());
+                assert_eq!(label.vertex(), v);
             }
         }
     }

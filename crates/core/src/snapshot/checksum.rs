@@ -26,7 +26,7 @@ pub fn fnv1a_words(words: &[u64]) -> u64 {
 }
 
 /// Word-wise FNV-1a over a byte buffer, decoding 8-byte little-endian
-/// chunks; a trailing partial chunk (never produced by the serializer, but
+/// chunks; a trailing partial chunk (never produced by the writer, but
 /// tolerated) is zero-padded.
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;

@@ -8,18 +8,19 @@
 //! [`FlatU64s`]) are `Copy` slice-plus-offset handles that never allocate.
 
 use en_graph::{run_parts, NodeId};
-use en_tree_routing::{LabelView, LocalLabelView, TableSlots, TableView};
+use en_tree_routing::{LabelView, LocalLabelView, TableView};
 
-use crate::checksum::fnv1a_bytes;
-use crate::error::WireError;
-use crate::format::{
+use super::checksum::fnv1a_bytes;
+use super::error::WireError;
+use super::format::{
     Section, Words, CLUSTER_RECORD_WORDS, HEADER_WORDS, H_HEADER_SUM, H_K, H_MAX_LABEL_WORDS,
     H_MAX_TABLE_WORDS, H_N, H_NUM_CLUSTERS, H_SECTIONS, H_SECTION_SUMS, H_TOTAL_LABEL_WORDS,
     H_TOTAL_MEMBERS, H_TOTAL_TABLE_WORDS, H_TOTAL_WORDS, LABEL_ENTRY_WORDS, MAGIC, NULL,
     NUM_SECTIONS, OWN_ENTRY_WORDS, TABLE_FIXED_WORDS, VERSION,
 };
 
-/// A complete routing scheme served directly from a snapshot buffer.
+/// A complete routing scheme served directly from a snapshot buffer: the
+/// borrowed view behind [`RoutingScheme`](super::RoutingScheme).
 ///
 /// Construction ([`Self::from_bytes`]) validates the buffer once; every
 /// subsequent access borrows from it without allocating.
@@ -207,33 +208,6 @@ impl<'a> FlatCluster<'a> {
         let slot = self.slot_of(v)?;
         Some(self.table_at_slot(slot, v))
     }
-
-    /// The pre-v3 lookup — a binary search over the full member column —
-    /// kept as the test oracle the rank-index path is checked against.
-    #[cfg(test)]
-    pub(crate) fn table_of_by_search(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
-        let pos = self.members().binary_search(v as u64).ok()?;
-        Some(self.table_at_slot(pos, v))
-    }
-}
-
-impl<'a> TableSlots for FlatCluster<'a> {
-    type Table = FlatTreeTable<'a>;
-
-    #[inline]
-    fn slot_of(&self, v: NodeId) -> Option<usize> {
-        FlatCluster::slot_of(self, v)
-    }
-
-    #[inline]
-    fn table_at(&self, slot: usize) -> Option<FlatTreeTable<'a>> {
-        FlatCluster::table_at(self, slot)
-    }
-
-    #[inline]
-    fn table_of(&self, v: NodeId) -> Option<FlatTreeTable<'a>> {
-        FlatCluster::table_of(self, v)
-    }
 }
 
 /// A borrowed local TZ label (a DFS time plus `(x, x')` exception pairs).
@@ -269,6 +243,13 @@ pub struct FlatTreeTable<'a> {
     /// Absolute word offset of the record.
     off: usize,
     vertex: NodeId,
+}
+
+impl FlatTreeTable<'_> {
+    /// Absolute word offset of the record in the snapshot.
+    pub fn offset(&self) -> usize {
+        self.off
+    }
 }
 
 fn opt(w: u64) -> Option<NodeId> {
@@ -342,6 +323,12 @@ impl<'a> FlatTreeLabel<'a> {
         self.words.get(self.off) as NodeId
     }
 
+    /// Absolute word offset of the record in the snapshot. Every reference
+    /// to one label shares one record, so equal offsets mean one record.
+    pub fn offset(&self) -> usize {
+        self.off
+    }
+
     fn local_exc_count(&self) -> usize {
         self.words.get(self.off + 4) as usize
     }
@@ -401,7 +388,7 @@ impl<'a> LabelView for FlatTreeLabel<'a> {
 
 /// One node-label entry decoded from the snapshot.
 #[derive(Debug, Clone, Copy)]
-pub struct FlatLabelEntry<'a> {
+pub struct FlatPivotEntry<'a> {
     /// The level `i`.
     pub level: usize,
     /// The (approximate) `i`-pivot.
@@ -471,10 +458,12 @@ impl<'a> FlatScheme<'a> {
     }
 
     /// Re-opens bytes that already passed [`Self::from_bytes`] with the
-    /// O(header) shape pass alone — the epoch store's per-reader open, where
-    /// re-walking hundreds of megabytes would defeat validate-once. Crate
-    /// private, so every `FlatScheme` a caller holds was validated in full.
-    pub(crate) fn reopen_validated(bytes: &'a [u8]) -> Result<Self, WireError> {
+    /// O(header) shape pass alone — how a
+    /// [`RoutingScheme`](super::RoutingScheme), which holds only validated
+    /// bytes, hands out its view without re-walking hundreds of megabytes.
+    /// Private to the snapshot module, so every `FlatScheme` a caller holds
+    /// was validated in full.
+    pub(super) fn reopen_validated(bytes: &'a [u8]) -> Result<Self, WireError> {
         Self::parse_header(bytes, false)
     }
 
@@ -870,8 +859,8 @@ impl<'a> FlatScheme<'a> {
         self.words.get(H_TOTAL_MEMBERS) as usize
     }
 
-    /// Largest routing table in `O(log n)` words (the Table-1 accounting the
-    /// in-memory scheme measured at serialization time).
+    /// Largest routing table in `O(log n)` words (the Table-1 accounting
+    /// summed while the records were written).
     pub fn max_table_words(&self) -> usize {
         self.words.get(H_MAX_TABLE_WORDS) as usize
     }
@@ -963,23 +952,10 @@ impl<'a> FlatScheme<'a> {
         self.csr_range(Section::LabelEntriesOff, v)
     }
 
-    /// Number of node-label entries `v` carries (0 for a vertex id outside
-    /// the snapshot).
-    pub fn label_entry_count(&self, v: NodeId) -> usize {
-        self.label_entry_range(v).1
-    }
-
-    /// `v`'s `i`-th node-label entry, in ascending level order, or `None`
-    /// when `i` is past the entry count.
-    pub fn label_entry_at(&self, v: NodeId, i: usize) -> Option<FlatLabelEntry<'a>> {
-        let (start, count) = self.label_entry_range(v);
-        (i < count).then(|| self.decode_label_entry(start + i))
-    }
-
-    fn decode_label_entry(&self, entry: usize) -> FlatLabelEntry<'a> {
+    fn decode_label_entry(&self, entry: usize) -> FlatPivotEntry<'a> {
         let at = self.secs[Section::LabelEntries as usize] + entry * LABEL_ENTRY_WORDS;
         let off = self.words.get(at + 3);
-        FlatLabelEntry {
+        FlatPivotEntry {
             level: self.words.get(at) as usize,
             pivot: self.words.get(at + 1) as NodeId,
             dist: self.words.get(at + 2),
@@ -992,7 +968,7 @@ impl<'a> FlatScheme<'a> {
 
     /// The node-label entries of `v`, in ascending level order (empty for a
     /// vertex id outside the snapshot).
-    pub fn label_entries_of(&self, v: NodeId) -> impl Iterator<Item = FlatLabelEntry<'a>> + '_ {
+    pub fn label_entries_of(&self, v: NodeId) -> impl Iterator<Item = FlatPivotEntry<'a>> + '_ {
         let (start, count) = self.label_entry_range(v);
         (0..count).map(move |e| self.decode_label_entry(start + e))
     }
@@ -1169,14 +1145,13 @@ mod tests {
     //! first aimed at; that checking now happens once, at load.
 
     use super::*;
-    use crate::serialize;
+    use crate::construction::{build_routing_scheme, ConstructionConfig};
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
-    use en_routing::construction::{build_routing_scheme, ConstructionConfig};
 
     fn snapshot() -> Vec<u8> {
         let g = erdos_renyi_connected(&GeneratorConfig::new(64, 9).with_weights(1, 15), 0.12);
         let built = build_routing_scheme(&g, &ConstructionConfig::new(2, 9)).unwrap();
-        serialize(&built.scheme)
+        built.scheme.bytes().to_vec()
     }
 
     fn word_at(bytes: &[u8], w: usize) -> u64 {
@@ -1439,23 +1414,20 @@ mod tests {
             for slot in 0..cluster.len() {
                 let v = cluster.members().get(slot) as NodeId;
                 assert_eq!(cluster.slot_of(v), Some(slot));
+                // The lookup the rank index replaces: a member-column search.
+                assert_eq!(cluster.members().binary_search(v as u64), Ok(slot));
                 let fast = cluster.table_of(v).expect("member resolves via the index");
-                let oracle = cluster
-                    .table_of_by_search(v)
-                    .expect("member resolves via search");
-                assert_eq!(fast.off, oracle.off, "index and search disagree on {v}");
-                assert_eq!(fast.vertex(), oracle.vertex());
-                // table_at addresses the same record by slot alone.
                 assert_eq!(cluster.table_at(slot).unwrap().off, fast.off);
+                assert_eq!(fast.vertex(), v);
                 lookups += 1;
             }
-            // Non-members miss on both paths (a cluster may span all of V,
-            // in which case there is no outsider to probe).
+            // Non-members miss (a cluster may span all of V, in which case
+            // there is no outsider to probe).
             if let Some(outsider) =
                 (0..flat.n()).find(|&v| cluster.members().binary_search(v as u64).is_err())
             {
+                assert!(cluster.slot_of(outsider).is_none());
                 assert!(cluster.table_of(outsider).is_none());
-                assert!(cluster.table_of_by_search(outsider).is_none());
             }
         }
         assert!(lookups > 0, "the drill must exercise real lookups");

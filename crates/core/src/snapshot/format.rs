@@ -1,4 +1,4 @@
-//! The on-the-wire layout shared by the serializer and the zero-copy reader.
+//! The on-the-wire layout shared by the writer and the zero-copy reader.
 //!
 //! A snapshot is a single relocatable little-endian byte buffer made of
 //! 8-byte words; every column starts at a word boundary, so the whole buffer
@@ -14,9 +14,10 @@
 //!   4  number of clusters
 //!   5  total buffer size in words (truncation check)
 //!   6  total cluster members
-//!   7  max routing-table size in words   (Table-1 accounting, from the
-//!   8  total routing-table words          in-memory scheme's own word
-//!   9  max label size in words            counters)
+//!   7  max routing-table size in words   (Table-1 accounting, summed
+//!   8  total routing-table words          from `TreeTable::words` and
+//!   9  max label size in words            `TreeLabel::words` while the
+//!                                         records are encoded)
 //!   10 total label words
 //!   11..=23  the 13 section offsets below, in words from buffer start
 //!            (together with word 5 this is the byte-budget manifest:
@@ -62,10 +63,13 @@
 //! global exception: parent subtree, child subtree, portal, portal-label DFS
 //! time, portal exception count, and its `(x, x')` pairs.
 //!
-//! Tree labels referenced from more than one place (a level-0 member's label
-//! appears in its own node label *and* in the centre's own-cluster table —
-//! the same `Arc` after the assemble-path pooling) are written to LABEL_POOL
-//! once and shared by offset.
+//! LABEL_POOL holds one record per referenced (cluster, member slot), and
+//! every reference to that label shares its offset. A level-0 member's label
+//! is referenced twice — by its own node-label entry and by the centre's
+//! own-cluster table — and is still written once. Records appear in
+//! first-reference order: every vertex's label entries, in vertex then level
+//! order, and then each level-0 centre's own-cluster entries, in ascending
+//! centre then member order.
 
 /// First header word: `"ENWIRE01"` as a little-endian `u64`.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"ENWIRE01");
@@ -245,22 +249,16 @@ impl<'a> Words<'a> {
     }
 }
 
-/// Appends one word to a byte buffer being serialized.
-#[inline]
-pub(crate) fn push_word(out: &mut Vec<u8>, w: u64) {
-    out.extend_from_slice(&w.to_le_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn words_roundtrip() {
-        let mut buf = Vec::new();
-        for w in [0u64, 1, MAGIC, NULL, 0x0123_4567_89AB_CDEF] {
-            push_word(&mut buf, w);
-        }
+        let buf: Vec<u8> = [0u64, 1, MAGIC, NULL, 0x0123_4567_89AB_CDEF]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
         let words = Words::new(&buf);
         assert_eq!(words.len(), 5);
         assert!(!words.is_empty());

@@ -84,11 +84,6 @@ impl TreeLabel {
             .find(|e| e.parent_subtree == w)
     }
 
-    /// The borrowed view of this label — what forwarding actually consumes.
-    pub fn as_view(&self) -> TreeLabelRef<'_> {
-        TreeLabelRef(self)
-    }
-
     /// Size of the label in `O(log n)`-bit words.
     pub fn words(&self) -> usize {
         // vertex + subtree_root + a_global + local + exceptions
@@ -150,38 +145,27 @@ pub trait LabelView: Copy {
     fn global_exception_at(&self, w: NodeId) -> Option<(NodeId, Self::Local)>;
 }
 
-/// The borrowed view of an owned [`TreeLabel`].
-///
-/// This is the type forwarding consumes; `RoutingScheme`-level code holds
-/// labels behind `Arc` (the assemble-path pooling) or borrows them from a
-/// tree scheme, and both hand out this view without cloning any exception
-/// vector.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeLabelRef<'a>(pub &'a TreeLabel);
-
-impl<'a> LabelView for TreeLabelRef<'a> {
+impl<'a> LabelView for &'a TreeLabel {
     type Local = &'a LocalLabel;
 
     #[inline]
     fn subtree_root(&self) -> NodeId {
-        self.0.subtree_root
+        self.subtree_root
     }
 
     #[inline]
     fn a_global(&self) -> u64 {
-        self.0.a_global
+        self.a_global
     }
 
     #[inline]
     fn local(&self) -> &'a LocalLabel {
-        &self.0.local
+        &self.local
     }
 
     #[inline]
     fn global_exception_at(&self, w: NodeId) -> Option<(NodeId, &'a LocalLabel)> {
-        self.0
-            .global_exception_at(w)
-            .map(|e| (e.child_subtree, &e.portal_label))
+        TreeLabel::global_exception_at(self, w).map(|e| (e.child_subtree, &e.portal_label))
     }
 }
 

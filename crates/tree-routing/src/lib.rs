@@ -42,6 +42,6 @@ pub mod scheme;
 pub mod table;
 
 pub use cost::{remark3_rounds, theorem7_rounds};
-pub use label::{LabelView, LocalLabel, LocalLabelView, TreeLabel, TreeLabelRef};
+pub use label::{LabelView, LocalLabel, LocalLabelView, TreeLabel};
 pub use scheme::{next_hop_view, TreeRoutingConfig, TreeRoutingScheme};
-pub use table::{GlobalHeavyEntry, TableSlots, TableView, TreeTable};
+pub use table::{GlobalHeavyEntry, TableView, TreeTable};

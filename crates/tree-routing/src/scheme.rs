@@ -2,12 +2,11 @@
 //!
 //! Forwarding is written once, generically over the
 //! [`TableView`]/[`LabelView`] traits ([`next_hop_view`]): the owned
-//! [`TreeTable`]/[`TreeLabel`] structs and any flat serialized representation
-//! (e.g. the `en_wire` snapshot columns) share the exact same step logic, so
-//! they cannot drift apart.
+//! [`TreeTable`]/[`TreeLabel`] structs and the flat snapshot records of
+//! `en_routing::snapshot` share the exact same step logic, so they cannot
+//! drift apart.
 
 use std::cmp::Reverse;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +16,7 @@ use en_graph::{NodeId, Path};
 
 use crate::cost::theorem7_rounds;
 use crate::label::{GlobalException, LabelView, LocalLabel, LocalLabelView, TreeLabel};
-use crate::table::{GlobalHeavyEntry, TableSlots, TableView, TreeTable};
+use crate::table::{GlobalHeavyEntry, TableView, TreeTable};
 
 /// Configuration of the tree-routing construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,11 +110,7 @@ pub struct TreeRoutingScheme {
     /// Member vertex ids, ascending; `tables` and `labels` are aligned.
     member_ids: Vec<u32>,
     tables: Vec<TreeTable>,
-    /// Labels are `Arc`-pooled: the Section-4 assembly stores the same label
-    /// in a level-0 centre's own-cluster table *and* in the member's node
-    /// label, so handing out `Arc` clones instead of deep copies removes the
-    /// per-member exception-vector clone traffic from the assemble hot path.
-    labels: Vec<Arc<TreeLabel>>,
+    labels: Vec<TreeLabel>,
     portals: Vec<NodeId>,
     tree_size: usize,
 }
@@ -406,7 +401,7 @@ impl TreeRoutingScheme {
         // Members are ascending, so pushing in local order keeps the arrays
         // binary-searchable by vertex id.
         let mut tables: Vec<TreeTable> = Vec::with_capacity(m);
-        let mut labels: Vec<Arc<TreeLabel>> = Vec::with_capacity(m);
+        let mut labels: Vec<TreeLabel> = Vec::with_capacity(m);
         for i in 0..m {
             let v = vid(i);
             let w = subtree_root[i];
@@ -430,13 +425,13 @@ impl TreeRoutingScheme {
                 b_global: b_global[w],
                 global_heavy,
             });
-            labels.push(Arc::new(TreeLabel {
+            labels.push(TreeLabel {
                 vertex: v,
                 subtree_root: vid(w),
                 local: local_label[i].clone(),
                 a_global: a_global[w],
                 global_exceptions: global_exceptions[w].clone(),
-            }));
+            });
         }
 
         let portals = subtree_roots.into_iter().map(vid).collect();
@@ -480,20 +475,14 @@ impl TreeRoutingScheme {
         self.index_of(v).map(|i| &self.tables[i])
     }
 
-    /// The table of the `i`-th member in ascending member order (the wire
-    /// serializer walks tables in member order without re-searching).
+    /// The table of the `i`-th member in ascending member order (the
+    /// snapshot writer walks tables in member order without re-searching).
     pub fn table_by_index(&self, i: usize) -> Option<&TreeTable> {
         self.tables.get(i)
     }
 
     /// The label of `v`, if `v` is in the tree.
     pub fn label(&self, v: NodeId) -> Option<&TreeLabel> {
-        self.index_of(v).map(|i| &*self.labels[i])
-    }
-
-    /// The label of `v` behind its shared `Arc`, if `v` is in the tree —
-    /// the assemble path stores this handle instead of a deep clone.
-    pub fn label_arc(&self, v: NodeId) -> Option<&Arc<TreeLabel>> {
         self.index_of(v).map(|i| &self.labels[i])
     }
 
@@ -501,11 +490,6 @@ impl TreeRoutingScheme {
     /// order an [`en_graph::forest::ClusterForest`] slice lists its members,
     /// so callers holding a membership-CSR position skip the binary search.
     pub fn label_by_index(&self, i: usize) -> Option<&TreeLabel> {
-        self.labels.get(i).map(|l| &**l)
-    }
-
-    /// [`Self::label_by_index`], returning the shared `Arc` handle.
-    pub fn label_arc_by_index(&self, i: usize) -> Option<&Arc<TreeLabel>> {
         self.labels.get(i)
     }
 
@@ -531,7 +515,7 @@ impl TreeRoutingScheme {
 
     /// The largest label over all members, in words.
     pub fn max_label_words(&self) -> usize {
-        self.labels.iter().map(|l| l.words()).max().unwrap_or(0)
+        self.labels.iter().map(TreeLabel::words).max().unwrap_or(0)
     }
 
     /// Round charge of building this scheme on a host with hop-diameter `d`
@@ -558,7 +542,7 @@ impl TreeRoutingScheme {
         let table = self
             .table(current)
             .ok_or(TreeRoutingError::NotInTree { vertex: current })?;
-        next_hop_view(table, label.as_view())
+        next_hop_view(table, label)
     }
 
     /// Routes a packet from `from` to `to`, returning the traversed path.
@@ -569,16 +553,15 @@ impl TreeRoutingScheme {
     /// fails to terminate within `host_size` hops (which would indicate a bug).
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<Path, TreeRoutingError> {
         let label = self
-            .label_arc(to)
-            .ok_or(TreeRoutingError::NotInTree { vertex: to })?
-            .clone();
+            .label(to)
+            .ok_or(TreeRoutingError::NotInTree { vertex: to })?;
         if self.table(from).is_none() {
             return Err(TreeRoutingError::NotInTree { vertex: from });
         }
         let mut path = Path::trivial(from);
         let mut current = from;
         for _ in 0..=self.host_size {
-            match self.next_hop(current, &label)? {
+            match self.next_hop(current, label)? {
                 None => return Ok(path),
                 Some(next) => {
                     path.push(next);
@@ -587,20 +570,6 @@ impl TreeRoutingScheme {
             }
         }
         Err(TreeRoutingError::RoutingLoop { from, to })
-    }
-}
-
-impl<'a> TableSlots for &'a TreeRoutingScheme {
-    type Table = &'a TreeTable;
-
-    #[inline]
-    fn slot_of(&self, v: NodeId) -> Option<usize> {
-        self.index_of(v)
-    }
-
-    #[inline]
-    fn table_at(&self, slot: usize) -> Option<&'a TreeTable> {
-        self.tables.get(slot)
     }
 }
 

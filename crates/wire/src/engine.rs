@@ -2,76 +2,20 @@
 //!
 //! [`QueryEngine`] answers `find_tree` / `route` queries directly off the
 //! snapshot columns. There is no forwarding loop in this module: routing
-//! instantiates the single storage-generic kernel in
-//! [`en_routing::access`] over `FlatAccess`, which reads the snapshot's
-//! plain accessors, so flat and in-memory routing share one `Find-tree`
-//! and one hop loop and are bit-identical by construction. Every
-//! [`FlatScheme`] passed [`FlatScheme::from_bytes`], so no lookup can fail
-//! and no query re-checks what validation already proved. Batches shard
-//! into parts of [`en_graph::run_parts`] (the engine is `Sync`: a snapshot
-//! borrow plus a graph borrow), each with its own pre-sized output scratch;
-//! a one-thread batch is one part, run inline.
+//! calls the kernel in [`en_routing::access`], the same `Find-tree` and hop
+//! loop [`RoutingScheme::route`](en_routing::RoutingScheme::route) runs.
+//! Every [`FlatScheme`] passed [`FlatScheme::from_bytes`], so no lookup can
+//! fail and no query re-checks what validation already proved. Batches
+//! shard into parts of [`en_graph::run_parts`] (the engine is `Sync`: a
+//! snapshot borrow plus a graph borrow), each with its own pre-sized output
+//! buffer; a one-thread batch is one part, run inline.
 
 use en_graph::dijkstra::dijkstra;
 use en_graph::{run_parts, Dist, NodeId, Path, WeightedGraph};
-use en_routing::access::{self, RouteAccess};
+use en_routing::access;
 use en_routing::error::RoutingError;
 use en_routing::scheme::RouteOutcome;
-
-use crate::error::WireError;
-use crate::flat::{FlatCluster, FlatScheme, FlatTreeLabel, FlatTreeTable};
-
-/// The flat-snapshot instantiation of the forwarding kernel: plain
-/// accessors over validated columns.
-#[derive(Debug, Clone, Copy)]
-struct FlatAccess<'a> {
-    flat: FlatScheme<'a>,
-}
-
-impl<'a> RouteAccess for FlatAccess<'a> {
-    type Label = FlatTreeLabel<'a>;
-    type Table = FlatTreeTable<'a>;
-    type Tree = FlatCluster<'a>;
-
-    #[inline]
-    fn n(&self) -> usize {
-        self.flat.n()
-    }
-
-    #[inline]
-    fn own_label(&self, center: NodeId, member: NodeId) -> Option<FlatTreeLabel<'a>> {
-        self.flat.own_label(center, member)
-    }
-
-    #[inline]
-    fn label_entry_count(&self, to: NodeId) -> usize {
-        self.flat.label_entry_count(to)
-    }
-
-    #[inline]
-    fn label_entry(&self, to: NodeId, i: usize) -> (NodeId, Option<FlatTreeLabel<'a>>) {
-        let e = self
-            .flat
-            .label_entry_at(to, i)
-            .expect("kernel indexes within the entry count");
-        (e.pivot, e.tree_label)
-    }
-
-    #[inline]
-    fn in_tree(&self, v: NodeId, root: NodeId) -> bool {
-        self.flat.trees_of(v).binary_search(root as u64).is_ok()
-    }
-
-    #[inline]
-    fn tree(&self, root: NodeId) -> Option<(FlatCluster<'a>, usize)> {
-        self.flat.cluster_of_center(root).map(|c| (c, c.level))
-    }
-
-    #[inline]
-    fn table(&self, tree: &FlatCluster<'a>, v: NodeId) -> Option<FlatTreeTable<'a>> {
-        tree.table_of(v)
-    }
-}
+use en_routing::snapshot::{FlatScheme, FlatTreeLabel, WireError};
 
 /// A query engine serving one snapshot over one host graph.
 ///
@@ -143,7 +87,7 @@ impl<'a> QueryEngine<'a> {
     /// Algorithm 1 (`Find-tree`) plus the `4k−5` refinement, off the flat
     /// columns: the centre of the tree a packet from `from` to `to` will
     /// use, and the destination's (borrowed) tree label there — the shared
-    /// kernel ([`en_routing::access::find_tree_via`]) over `FlatAccess`.
+    /// kernel [`en_routing::access::find_tree_via`].
     ///
     /// # Errors
     ///
@@ -154,33 +98,17 @@ impl<'a> QueryEngine<'a> {
         from: NodeId,
         to: NodeId,
     ) -> Result<(NodeId, FlatTreeLabel<'a>), RoutingError> {
-        access::find_tree_via(&FlatAccess { flat: self.flat }, from, to)
+        access::find_tree_via(&self.flat, from, to)
     }
 
     /// Forwards hop by hop, returning the tree used, its level, and the path.
     fn forward(&self, from: NodeId, to: NodeId) -> Result<(NodeId, usize, Path), RoutingError> {
-        access::forward_via(&FlatAccess { flat: self.flat }, from, to)
-    }
-
-    fn outcome(&self, root: NodeId, level: usize, path: Path, exact: Dist) -> RouteOutcome {
-        let length = path.length_in(self.graph).unwrap_or(0);
-        let stretch = if exact == 0 {
-            1.0
-        } else {
-            length as f64 / exact as f64
-        };
-        RouteOutcome {
-            tree_root: root,
-            level,
-            path,
-            length,
-            exact,
-            stretch,
-        }
+        access::forward_via(&self.flat, from, to)
     }
 
     /// Routes one packet, measuring stretch against the exact distance
-    /// (computed with Dijkstra, like the in-memory scheme's `route`).
+    /// (computed with Dijkstra, like
+    /// [`RoutingScheme::route`](en_routing::RoutingScheme::route)).
     ///
     /// # Errors
     ///
@@ -188,7 +116,7 @@ impl<'a> QueryEngine<'a> {
     pub fn route(&self, from: NodeId, to: NodeId) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) = self.forward(from, to)?;
         let exact = dijkstra(self.graph, from).dist[to];
-        Ok(self.outcome(root, level, path, exact))
+        Ok(RouteOutcome::new(self.graph, root, level, path, exact))
     }
 
     /// Routes one packet against a caller-supplied exact distance (the
@@ -205,7 +133,7 @@ impl<'a> QueryEngine<'a> {
         exact: Dist,
     ) -> Result<RouteOutcome, RoutingError> {
         let (root, level, path) = self.forward(from, to)?;
-        Ok(self.outcome(root, level, path, exact))
+        Ok(RouteOutcome::new(self.graph, root, level, path, exact))
     }
 
     fn route_chunk(

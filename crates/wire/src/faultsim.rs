@@ -9,7 +9,7 @@
 //! each fault to a pristine buffer and classifies what the loader did:
 //!
 //! * **detected** — [`FlatScheme::from_bytes`] rejected the bytes with a
-//!   structured [`WireError`](crate::WireError); nothing corrupt was ever
+//!   structured [`WireError`](en_routing::snapshot::WireError); nothing corrupt was ever
 //!   served.
 //! * **undetected** — the failure mode: a corrupt buffer validated clean.
 //!   The drills assert this count is zero.
@@ -21,8 +21,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::flat::{FlatScheme, SnapshotManifest};
-use crate::format::{Section, HEADER_WORDS};
+use en_routing::snapshot::format::{Section, HEADER_WORDS};
+use en_routing::snapshot::{FlatScheme, SnapshotManifest};
 
 /// One way to damage a byte buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,31 +1,22 @@
-//! Serving subsystem: flat zero-copy routing-scheme snapshots and a
-//! multi-threaded batched query engine.
+//! Serving subsystem: page-cache snapshot opens, an epoch hot-swap store,
+//! a multi-threaded batched query engine, fault injection and query
+//! workloads.
 //!
 //! The paper's whole point is that *after* preprocessing, routing decisions
 //! are made from compact local tables and `o(n)`-size labels (Table 1,
-//! Theorem 7, the `4k−5` refinement of \[TZ01\]). This crate gives that
-//! serving side a production shape:
+//! Theorem 7, the `4k−5` refinement of \[TZ01\]). The scheme itself — the
+//! validated v3 snapshot that assembly writes, its reader and its
+//! forwarding kernel — lives in [`en_routing::snapshot`] and
+//! [`en_routing::access`]. This crate gives the serving side a production
+//! shape around it:
 //!
-//! * [`snapshot::serialize`] flattens a complete
-//!   [`RoutingScheme`](en_routing::scheme::RoutingScheme) — per-vertex
-//!   tables, node labels, pivots, and the `4k−5` own-cluster labels — into
-//!   one relocatable little-endian buffer of CSR-style columns with pooled
-//!   variable-length records (shared tree labels are written once), plus a
-//!   versioned header carrying `n`, `k`, and the Table-1 word-size stats.
-//! * [`FlatScheme::from_bytes`] validates that buffer **once** and then
-//!   serves every access zero-copy: the views it hands out are `Copy`
-//!   slice-plus-offset handles, no per-label or per-table allocation. Since
-//!   format v3 the snapshot also carries a member-slot rank index (one word
-//!   per tree incidence, checksummed like every section), so resolving a
-//!   vertex's table inside a cluster is a single indexed read instead of a
-//!   binary search over the member column.
+//! * [`serialize`] hands out a copy of a built scheme's snapshot bytes, to
+//!   write to a file or publish into a store.
 //! * [`QueryEngine`] answers `find_tree` / `route` batches directly off the
-//!   flat columns, sharding batches through `en_graph::run_parts`.
-//!   There is no forwarding loop in this crate: the engine instantiates the
-//!   storage-generic kernel in [`en_routing::access`] — the same
-//!   `Find-tree` + hop loop the in-memory scheme runs — so outcomes are
-//!   bit-identical by construction (and property-proven in
-//!   `tests/property_wire_roundtrip.rs`).
+//!   flat columns, sharding batches through `en_graph::run_parts`. There is
+//!   no forwarding loop in this crate: the engine calls the kernel in
+//!   [`en_routing::access`], the same one
+//!   [`RoutingScheme::route`](en_routing::RoutingScheme::route) runs.
 //! * [`mmap::MappedSnapshot`] opens a committed snapshot file straight out
 //!   of the kernel page cache — an O(header) length check, then `mmap` —
 //!   instead of copying hundreds of megabytes per open, with a
@@ -41,19 +32,18 @@
 //! and the `fault_drill` harness bin):
 //!
 //! * **Snapshot integrity** — the v3 header carries a per-section FNV-1a
-//!   checksum plus a whole-header checksum ([`checksum`]);
-//!   [`FlatScheme::from_bytes`] verifies them once at load, so corruption is
-//!   a structured [`WireError::ChecksumMismatch`], never a wrong answer, and
-//!   the per-query hot path stays checksum-free.
+//!   checksum plus a whole-header checksum; [`FlatScheme::from_bytes`]
+//!   verifies them once at load, so corruption is a structured
+//!   [`WireError`](en_routing::snapshot::WireError), never a wrong answer,
+//!   and the per-query hot path stays checksum-free.
 //! * **Epoch hot swap** — [`SchemeStore`] validates candidate snapshots
 //!   *before* atomically swapping them in; a failed publish leaves the
 //!   current epoch serving (rollback by default) and readers pin whole
 //!   epochs, so a swap never tears a batch.
-//! * **Validate once** — every [`FlatScheme`] a caller can hold passed the
-//!   full load-time pass (checksums, cluster/CSR/record structure, the
-//!   rank-index bijection), so the serving accessors and the query engine
-//!   never re-check per query and cannot meet corrupt bytes; untrusted
-//!   bytes never panic because they are rejected before they are served.
+//! * **Validate once** — an epoch holds a
+//!   [`en_routing::RoutingScheme`], which can only be built
+//!   through the full validation, so the query engine never re-checks per
+//!   query and cannot meet corrupt bytes.
 //! * **Deterministic fault injection** — [`faultsim`] builds seeded fault
 //!   plans (boundary truncations, bit flips, offset scrambles) and drills
 //!   the load path, asserting every fault is rejected with a structured
@@ -64,19 +54,20 @@
 //! ```
 //! use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 //! use en_routing::construction::{build_routing_scheme, ConstructionConfig};
-//! use en_wire::{FlatScheme, QueryEngine};
+//! use en_wire::{QueryEngine, SchemeStore};
 //!
 //! let g = erdos_renyi_connected(&GeneratorConfig::new(64, 5), 0.1);
 //! let built = build_routing_scheme(&g, &ConstructionConfig::new(2, 42)).unwrap();
 //!
-//! // Snapshot the scheme, then serve it zero-copy from the bytes.
-//! let bytes = en_wire::snapshot::serialize(&built.scheme);
-//! let flat = FlatScheme::from_bytes(&bytes).expect("snapshot validates");
-//! let engine = QueryEngine::new(flat, &g).expect("sizes match");
+//! // Publish the snapshot bytes, then serve the pinned epoch zero-copy.
+//! let store = SchemeStore::new(en_wire::serialize(&built.scheme)).expect("snapshot validates");
+//! let epoch = store.current();
+//! let engine = QueryEngine::new(epoch.scheme(), &g).expect("sizes match");
 //!
 //! let outcome = engine.route(3, 60).expect("delivery succeeds");
-//! let reference = built.scheme.route(&g, 3, 60).expect("delivery succeeds");
-//! assert_eq!(outcome.path, reference.path);
+//! assert_eq!(outcome.path.nodes().first(), Some(&3));
+//! assert_eq!(outcome.path.nodes().last(), Some(&60));
+//! assert!(outcome.path.is_valid_in(&g));
 //! ```
 
 // `deny`, not `forbid`: the `mmap` module carries the crate's single
@@ -85,24 +76,22 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checksum;
 pub mod engine;
-pub mod error;
 pub mod faultsim;
-pub mod flat;
-pub mod format;
 pub mod mmap;
-pub mod snapshot;
 pub mod store;
 pub mod workload;
 
+pub use en_routing::snapshot::{checksum, FlatScheme};
 pub use engine::{BatchOutcome, BatchStats, QueryEngine};
-pub use error::WireError;
-pub use flat::{
-    FlatCluster, FlatLabelEntry, FlatScheme, FlatTreeLabel, FlatTreeTable, FlatU64s, SectionSpan,
-    SnapshotManifest, ValidateStats,
-};
 pub use mmap::MappedSnapshot;
-pub use snapshot::serialize;
 pub use store::{SchemeStore, SnapshotEpoch, SnapshotSource, StoreStats};
 pub use workload::{generate_pairs, PairWorkload};
+
+use en_routing::RoutingScheme;
+
+/// A copy of `scheme`'s snapshot bytes: assembly already wrote and
+/// validated them, so this is a plain buffer copy.
+pub fn serialize(scheme: &RoutingScheme) -> Vec<u8> {
+    scheme.bytes().to_vec()
+}

@@ -48,7 +48,7 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::ops::Deref;
 use std::path::Path;
 
-use crate::format::{HEADER_WORDS, H_TOTAL_WORDS, MAGIC, VERSION};
+use en_routing::snapshot::format::{HEADER_WORDS, H_TOTAL_WORDS, MAGIC, VERSION};
 
 /// Linux raw syscalls for the three mapping operations, gated to the
 /// architectures whose syscall ABI is spelled out here.
@@ -212,7 +212,7 @@ impl MappedSnapshot {
     /// I/O errors only (open/stat/read failures). A file with *snapshot*
     /// problems — truncation, bad magic, corruption — still opens (via the
     /// heap fallback when its length is shape-invalid) so that validation
-    /// over [`Self::bytes`] reports the structured [`crate::WireError`].
+    /// over [`Self::bytes`] reports the structured [`WireError`](en_routing::snapshot::WireError).
     pub fn open(path: &Path) -> io::Result<MappedSnapshot> {
         // Timed only when a recorder is installed; the histogram separates
         // mapped opens from heap-fallback opens so a fleet silently losing
@@ -375,8 +375,8 @@ impl Drop for MappedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatScheme;
     use crate::serialize;
+    use crate::FlatScheme;
     use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
     use en_routing::construction::{build_routing_scheme, ConstructionConfig};
     use std::path::PathBuf;
@@ -440,10 +440,7 @@ mod tests {
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("misaligned", bytes[..bytes.len() - 3].to_vec()),
             ("truncated", bytes[..bytes.len() - 8].to_vec()),
-            (
-                "header_only",
-                bytes[..crate::format::HEADER_WORDS * 8].to_vec(),
-            ),
+            ("header_only", bytes[..HEADER_WORDS * 8].to_vec()),
             ("tiny", bytes[..16].to_vec()),
             ("bad_magic", {
                 let mut b = bytes.clone();

@@ -2,8 +2,8 @@
 //!
 //! [`SchemeStore`] owns the serving snapshot behind an `Arc` epoch:
 //! [`SchemeStore::publish`] **validates first** (the full
-//! [`FlatScheme::from_bytes`] pass — checksums and structure), and only an
-//! accepted buffer is atomically swapped in as the next epoch. Readers pin
+//! [`RoutingScheme::from_bytes`] pass — checksums and structure), and only
+//! an accepted buffer is atomically swapped in as the next epoch. Readers pin
 //! an epoch with [`SchemeStore::current`] and keep routing on it for as
 //! long as they hold the `Arc` — a publish mid-batch never tears a reader's
 //! view, and the old epoch's memory is freed when its last reader drops it.
@@ -38,15 +38,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::error::WireError;
-use crate::flat::FlatScheme;
+use en_routing::snapshot::{FlatScheme, WireError};
+use en_routing::RoutingScheme;
+
 use crate::mmap::MappedSnapshot;
 
 /// Where an epoch's snapshot bytes live: an owned heap buffer, or a
 /// page-cache-backed [`MappedSnapshot`].
 ///
 /// Publish, pin, and rollback are storage-agnostic: the store validates
-/// [`Self::bytes`] the same way for both variants, readers borrow the same
+/// the bytes the same way for both variants, readers borrow the same
 /// `&[u8]`, and dropping the last pin frees the heap buffer or unmaps the
 /// file respectively.
 #[derive(Debug)]
@@ -58,17 +59,19 @@ pub enum SnapshotSource {
 }
 
 impl SnapshotSource {
-    /// The snapshot bytes, whatever the storage.
-    pub fn bytes(&self) -> &[u8] {
+    /// Whether the bytes are memory-mapped rather than owned.
+    pub fn is_mapped(&self) -> bool {
+        matches!(self, SnapshotSource::Mapped(m) if m.is_mapped())
+    }
+}
+
+/// The snapshot bytes, whatever the storage.
+impl AsRef<[u8]> for SnapshotSource {
+    fn as_ref(&self) -> &[u8] {
         match self {
             SnapshotSource::Owned(bytes) => bytes,
             SnapshotSource::Mapped(mapped) => mapped.bytes(),
         }
-    }
-
-    /// Whether the bytes are memory-mapped rather than owned.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, SnapshotSource::Mapped(m) if m.is_mapped())
     }
 }
 
@@ -86,13 +89,14 @@ impl From<MappedSnapshot> for SnapshotSource {
 
 /// One validated, immutable snapshot generation.
 ///
-/// The bytes were fully validated when the epoch was published, so
-/// [`Self::scheme`] re-opens them with the cheap shape-only pass — readers
-/// pay O(header), not O(snapshot), to borrow a [`FlatScheme`].
+/// The epoch holds a [`RoutingScheme`] over its [`SnapshotSource`], built
+/// through the full validation when it was published, so [`Self::scheme`]
+/// re-opens the bytes with the cheap shape-only pass — readers pay
+/// O(header), not O(snapshot), to borrow a [`FlatScheme`].
 #[derive(Debug)]
 pub struct SnapshotEpoch {
     id: u64,
-    source: SnapshotSource,
+    scheme: RoutingScheme<SnapshotSource>,
 }
 
 impl SnapshotEpoch {
@@ -104,18 +108,17 @@ impl SnapshotEpoch {
 
     /// The raw snapshot bytes (already validated).
     pub fn bytes(&self) -> &[u8] {
-        self.source.bytes()
+        self.scheme.bytes()
     }
 
     /// The storage backing this epoch.
     pub fn source(&self) -> &SnapshotSource {
-        &self.source
+        self.scheme.source()
     }
 
     /// Borrows the epoch's scheme for zero-copy serving.
     pub fn scheme(&self) -> FlatScheme<'_> {
-        FlatScheme::reopen_validated(self.bytes())
-            .expect("epoch bytes were validated at publish time")
+        self.scheme.flat()
     }
 }
 
@@ -158,9 +161,9 @@ impl SchemeStore {
     ///
     /// As [`Self::new`]: the source's bytes must validate in full.
     pub fn new_source(source: SnapshotSource) -> Result<Self, WireError> {
-        FlatScheme::from_bytes(source.bytes())?;
+        let scheme = RoutingScheme::from_bytes(source)?;
         Ok(SchemeStore {
-            current: RwLock::new(Arc::new(SnapshotEpoch { id: 0, source })),
+            current: RwLock::new(Arc::new(SnapshotEpoch { id: 0, scheme })),
             published: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         })
@@ -189,25 +192,28 @@ impl SchemeStore {
     ///
     /// As [`Self::publish`].
     pub fn publish_source(&self, source: SnapshotSource) -> Result<u64, WireError> {
-        if let Err(e) = FlatScheme::from_bytes(source.bytes()) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            en_obs::counter_add("store.rejected", 1);
-            if en_obs::active() {
-                en_obs::event(
-                    en_obs::Level::Warn,
-                    "store.publish_rejected",
-                    &[
-                        ("epoch_serving", self.current_id().into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-            }
-            return Err(e);
-        }
         let mapped = source.is_mapped();
+        let scheme = match RoutingScheme::from_bytes(source) {
+            Ok(scheme) => scheme,
+            Err(e) => {
+                self.rejected.fetch_add(1, Ordering::Relaxed);
+                en_obs::counter_add("store.rejected", 1);
+                if en_obs::active() {
+                    en_obs::event(
+                        en_obs::Level::Warn,
+                        "store.publish_rejected",
+                        &[
+                            ("epoch_serving", self.current_id().into()),
+                            ("error", e.to_string().into()),
+                        ],
+                    );
+                }
+                return Err(e);
+            }
+        };
         let mut guard = self.current.write().expect("store lock poisoned");
         let id = guard.id + 1;
-        *guard = Arc::new(SnapshotEpoch { id, source });
+        *guard = Arc::new(SnapshotEpoch { id, scheme });
         drop(guard);
         self.published.fetch_add(1, Ordering::Relaxed);
         en_obs::counter_add("store.published", 1);

@@ -12,7 +12,7 @@ use en_graph::generators::{erdos_renyi_connected, GeneratorConfig};
 use en_graph::{BuildOptions, WeightedGraph};
 use en_obs::MetricsRegistry;
 use en_routing::construction::{build_routing_scheme_with, BuiltScheme, ConstructionConfig};
-use en_wire::checksum::fnv1a_words;
+use en_routing::snapshot::checksum::fnv1a_words;
 use en_wire::{generate_pairs, BatchOutcome, FlatScheme, PairWorkload, QueryEngine};
 
 /// Serializes tests that install the process-global recorder.

@@ -13,12 +13,13 @@
 //! * **Tree routing**: building the Theorem-7 scheme from the zero-copy
 //!   forest slice and from the materialised dense tree yields bit-identical
 //!   tables and labels for every member.
-//! * **Routing outcomes**: `RoutingScheme::assemble` (membership-CSR sweep
-//!   over forest slices) and `RoutingScheme::assemble_reference` (the
-//!   retained pre-forest assembly over materialised trees) produce
-//!   bit-identical [`RouteOutcome`]s — same tree, same path, same lengths,
-//!   same stretch bits — for sampled vertex pairs, and identical table and
-//!   label sizes everywhere.
+//! * **Assembly**: the snapshot `RoutingScheme::assemble` writes matches an
+//!   independent reference (`tests/support/reference.rs`) built from the
+//!   dense trees: every table and label record, every label entry against
+//!   the family's pivots, every own-cluster table and the Table-1 word
+//!   stats; and for sampled pairs the `Find-tree` decision equals a
+//!   test-side Algorithm 1 and the route equals the chosen dense tree
+//!   scheme's own route.
 
 use proptest::prelude::*;
 
@@ -30,6 +31,10 @@ use en_routing::exact::{exact_cluster_family, grow_exact_cluster_csr, membership
 use en_routing::scheme::RoutingScheme;
 use en_routing::{ClusterFamily, Hierarchy, SchemeParams};
 use en_tree_routing::{TreeRoutingConfig, TreeRoutingScheme};
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::Reference;
 
 fn arb_graph() -> impl Strategy<Value = (WeightedGraph, u64)> {
     (16usize..56, 0u64..10_000, 1u64..60).prop_map(|(n, seed, max_w)| {
@@ -94,35 +99,23 @@ fn check_tree_schemes_match(family: &ClusterFamily, tree_seed: u64) {
     }
 }
 
-/// Routing-outcome equivalence: the membership-CSR assembly and the retained
-/// pre-forest reference assembly are bit-identical in everything a user can
-/// observe.
-fn check_assemblies_match(g: &WeightedGraph, family: &ClusterFamily, tree_seed: u64) {
-    let fast = RoutingScheme::assemble(family, tree_seed, &BuildOptions::new(1)).0;
-    let reference = RoutingScheme::assemble_reference(family, tree_seed);
+/// Assembly equivalence: the assembled snapshot, its `Find-tree` decisions
+/// and its routes match the independent reference.
+fn check_assembly_matches_reference(g: &WeightedGraph, family: &ClusterFamily, tree_seed: u64) {
+    let scheme = RoutingScheme::assemble(family, tree_seed, &BuildOptions::new(1)).0;
+    let reference = Reference::new(family, tree_seed);
+    reference.check_snapshot(scheme.bytes());
     let n = g.num_nodes();
-    for v in 0..n {
-        assert_eq!(fast.trees_containing(v), reference.trees_containing(v));
-        assert_eq!(fast.table_words(v), reference.table_words(v));
-        assert_eq!(fast.label_words(v), reference.label_words(v));
-    }
     for u in (0..n).step_by(3) {
         for v in (0..n).step_by(5) {
             if u == v {
                 continue;
             }
-            let a = fast.route(g, u, v).expect("fast route succeeds");
-            let b = reference.route(g, u, v).expect("reference route succeeds");
-            assert_eq!(a.tree_root, b.tree_root, "{u}->{v}: tree choice differs");
-            assert_eq!(a.level, b.level, "{u}->{v}");
-            assert_eq!(a.path, b.path, "{u}->{v}: paths differ");
-            assert_eq!(a.length, b.length, "{u}->{v}");
-            assert_eq!(a.exact, b.exact, "{u}->{v}");
-            assert_eq!(
-                a.stretch.to_bits(),
-                b.stretch.to_bits(),
-                "{u}->{v}: stretch bits differ"
-            );
+            let found = scheme.find_tree(u, v).ok().map(|(r, l)| (r, l.vertex()));
+            let routed = scheme.route(g, u, v).ok();
+            assert!(routed.as_ref().is_none_or(|o| o.path.is_valid_in(g)));
+            let routed = routed.as_ref().map(|o| (o.tree_root, o.level, &o.path));
+            reference.check_pair(u, v, found, routed);
         }
     }
 }
@@ -131,7 +124,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
 
     /// The exact construction: forest ≡ dense representation ≡ per-centre
-    /// oracle, and routing outcomes are bit-identical.
+    /// oracle, and the assembled scheme matches the reference.
     #[test]
     fn exact_family_forest_is_equivalent_to_dense(
         gs in arb_graph(),
@@ -155,11 +148,12 @@ proptest! {
             }
         }
         check_tree_schemes_match(&family, seed);
-        check_assemblies_match(&g, &family, seed);
+        check_assembly_matches_reference(&g, &family, seed);
     }
 
     /// The approximate (end-to-end distributed) construction: the family the
-    /// pipeline produces is representation- and routing-equivalent too.
+    /// pipeline produces is representation-equivalent, and its assembly
+    /// matches the reference too.
     #[test]
     fn approx_family_forest_is_equivalent_to_dense(
         gs in arb_graph(),
@@ -169,6 +163,6 @@ proptest! {
         let built = build_routing_scheme(&g, &ConstructionConfig::new(k, seed)).unwrap();
         check_forest_matches_dense(&g, &built.family);
         check_tree_schemes_match(&built.family, seed);
-        check_assemblies_match(&g, &built.family, seed);
+        check_assembly_matches_reference(&g, &built.family, seed);
     }
 }
